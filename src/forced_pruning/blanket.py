@@ -1,0 +1,239 @@
+"""Markov-blanket count tables: the pseudo-likelihood engine of one structure.
+
+A variable's conditional P(x_v | rest) depends on a row only through x_v and
+the values of v's neighbours, its Markov blanket. So for a fixed edge set
+every sum the learner needs collapses from the compressed rows to the
+(blanket configuration, x_v) groups of each variable: the PLL and its
+gradient, the loss from zeroing any set of edges, and the gain of adding any
+inactive edge. A group keeps its variable, its count of instances, an exact
+representative row, and (for addition scoring) the count of x_u = 1 within
+the group for every variable u. A variable never has more groups than there
+are unique rows, and a sparse structure has far fewer: the plants Chow-Liu
+tree has about 500 groups in all against about 8000 unique rows per
+variable.
+
+Groups are keyed by the packed bits of the blanket columns, so grouping is
+exact at any blanket size. Every reduction here is a sequential
+``np.bincount`` over a fixed order, so results do not depend on BLAS
+threading.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
+from scipy import sparse
+from scipy.special import expit
+
+from .dataset import DataSet
+
+ADD_WEIGHT_BOUND = 30.0
+_NEWTON_STEPS = 100
+_NEWTON_TOL = 1e-13
+
+
+def _log_sigmoid(y: np.ndarray) -> np.ndarray:
+    return -np.logaddexp(0.0, -y)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + n) over the pairs (s, n)."""
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return offsets + np.arange(lengths.sum())
+
+
+class BlanketTables:
+    """Group tables of one dataset under one edge set.
+
+    The groups of variable v are ``slice(start[v], start[v + 1])``. Group g
+    holds ``var[g]``, the value ``x[g]`` of that variable, the instance count
+    ``count[g]`` and the representative compressed row ``rep[g]``. Edge j
+    touches the groups listed in ``inc_group[inc_ptr[j]:inc_ptr[j + 1]]``:
+    the groups of either endpoint in which the other endpoint is 1, which
+    are the groups whose logit moves with the edge's weight.
+
+    Every method takes the flat weight vector of a model with exactly this
+    edge set (node weights, then edge weights in ``edges`` order).
+    """
+
+    def __init__(self, ds: DataSet, edges: Sequence[tuple[int, int]]):
+        rows, weights = ds.compressed()
+        V = ds.n_vars
+        self.n_vars = V
+        self.n_instances = ds.n_instances
+        self.edges = tuple(edges)
+        self._ds = ds
+        neighbours: list[list[int]] = [[] for _ in range(V)]
+        for lo, hi in self.edges:
+            neighbours[lo].append(hi)
+            neighbours[hi].append(lo)
+        bits = rows.astype(bool)
+        reps, counts, inverse, sizes = [], [], [], []
+        for v in range(V):
+            packed = np.packbits(bits[:, [v] + sorted(neighbours[v])], axis=1)
+            keys = np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
+            _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+            reps.append(first)
+            counts.append(np.bincount(inv, weights=weights))
+            inverse.append(inv.ravel().astype(np.int32))
+            sizes.append(first.size)
+        self.start = np.concatenate([[0], np.cumsum(sizes)])
+        self.var = np.repeat(np.arange(V), sizes)
+        self.rep = np.concatenate(reps)
+        self.count = np.concatenate(counts)
+        rep_rows = rows[self.rep]
+        self.x = rep_rows[np.arange(self.n_groups), self.var]
+        self.t = 2.0 * self.x - 1.0
+        self._inverse = inverse  # per variable: group of each compressed row
+
+        inc = []
+        for lo, hi in self.edges:
+            touched = [
+                self.start[v] + np.flatnonzero(rep_rows[self.start[v]:self.start[v + 1], u])
+                for v, u in ((lo, hi), (hi, lo))
+            ]
+            inc.append(np.concatenate(touched))
+        sizes_e = [g.size for g in inc]
+        self.inc_ptr = np.concatenate([[0], np.cumsum(sizes_e)]).astype(np.int64)
+        self.inc_group = np.concatenate(inc) if inc else np.zeros(0, dtype=np.int64)
+        self.inc_edge = np.repeat(np.arange(len(self.edges)), sizes_e)
+
+    @property
+    def n_groups(self) -> int:
+        return self.var.size
+
+    @cached_property
+    def ones(self) -> np.ndarray:
+        """(n_groups, n_vars) weighted count of x_u = 1 within each group."""
+        rows, weights = self._ds.compressed()
+        U = rows.shape[0]
+        out = np.empty((self.n_groups, self.n_vars))
+        for v, inv in enumerate(self._inverse):
+            lo, hi = self.start[v], self.start[v + 1]
+            member = sparse.csr_matrix((weights, (inv, np.arange(U))), shape=(hi - lo, U))
+            out[lo:hi] = member @ rows
+        return out
+
+    def _split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (self.n_vars + len(self.edges),):
+            raise ValueError(
+                f"expected {self.n_vars + len(self.edges)} weights, got shape {theta.shape}"
+            )
+        return theta[: self.n_vars], theta[self.n_vars :]
+
+    def logits(self, theta: np.ndarray) -> np.ndarray:
+        """Conditional log-odds of x_var = 1 in each group."""
+        node, edge = self._split(theta)
+        shift = np.bincount(self.inc_group, weights=edge[self.inc_edge], minlength=self.n_groups)
+        return node[self.var] + shift
+
+    def _terms(self, z: np.ndarray) -> np.ndarray:
+        """Count-weighted log P(x_var | blanket) of each group."""
+        return self.count * _log_sigmoid(self.t * z)
+
+    def pll(self, theta: np.ndarray) -> float:
+        """Mean per-instance PLL, equal to :func:`model.pll` up to rounding."""
+        return float(self._terms(self.logits(theta)).sum() / self.n_instances)
+
+    def pll_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """PLL and its gradient over (node ++ edge) weights, from one logit pass."""
+        z = self.logits(theta)
+        f = float(self._terms(z).sum() / self.n_instances)
+        resid = self.count * (self.x - expit(z))
+        g_node = np.bincount(self.var, weights=resid, minlength=self.n_vars)
+        g_edge = np.bincount(self.inc_edge, weights=resid[self.inc_group], minlength=len(self.edges))
+        return f, np.concatenate([g_node, g_edge]) / self.n_instances
+
+    def deletion_deltas(self, theta: np.ndarray) -> np.ndarray:
+        """pll - pll with edge j's weight zeroed, for every edge j.
+
+        Exactly 0.0 for an edge of weight 0.
+        """
+        _, edge = self._split(theta)
+        z = self.logits(theta)
+        g = self.inc_group
+        zg, tg = z[g], self.t[g]
+        loss = self.count[g] * (_log_sigmoid(tg * zg) - _log_sigmoid(tg * (zg - edge[self.inc_edge])))
+        return np.bincount(self.inc_edge, weights=loss, minlength=len(self.edges)) / self.n_instances
+
+    def subset_scorer(self, theta: np.ndarray):
+        """Function mapping edge indices to the PLL with those weights zeroed."""
+        _, edge = self._split(theta)
+        z = self.logits(theta)
+        terms = self._terms(z)
+        total = terms.sum()
+
+        def score(drop: np.ndarray) -> float:
+            drop = np.asarray(drop, dtype=np.int64)
+            sel = _ranges(self.inc_ptr[drop], self.inc_ptr[drop + 1] - self.inc_ptr[drop])
+            groups, inv = np.unique(self.inc_group[sel], return_inverse=True)
+            shift = np.bincount(inv, weights=edge[self.inc_edge[sel]], minlength=groups.size)
+            new = self.count[groups] * _log_sigmoid(self.t[groups] * (z[groups] - shift))
+            return float((total + (new - terms[groups]).sum()) / self.n_instances)
+
+        return score
+
+    def addition_gains(self, theta: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Best PLL gain of adding each candidate edge at one free weight.
+
+        The gain of candidate (a, b) at weight w is concave in w, and only the
+        rows with x_b = 1 among a's groups (and x_a = 1 among b's) change, so
+        all candidates are maximized together by a safeguarded Newton search
+        on [-ADD_WEIGHT_BOUND, ADD_WEIGHT_BOUND]. Gains are >= 0.
+        """
+        candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+        n = candidates.shape[0]
+        z = self.logits(theta)
+        side_var = np.concatenate([candidates[:, 0], candidates[:, 1]])
+        side_other = np.concatenate([candidates[:, 1], candidates[:, 0]])
+        lengths = self.start[side_var + 1] - self.start[side_var]
+        g = _ranges(self.start[side_var], lengths)
+        cand = np.repeat(np.concatenate([np.arange(n), np.arange(n)]), lengths)
+        s = self.ones[g, np.repeat(side_other, lengths)]
+        keep = s > 0
+        g, cand, s = g[keep], cand[keep], s[keep]
+        tg, zg = self.t[g], z[g]
+
+        def slopes(w):
+            p = expit(-tg * (zg + w[cand]))  # 1 - P(x_var | blanket) at weight w
+            d1 = np.bincount(cand, weights=s * tg * p, minlength=n)
+            d2 = np.bincount(cand, weights=s * p * (1.0 - p), minlength=n)
+            return d1, d2
+
+        B = ADD_WEIGHT_BOUND
+        lo, hi = np.full(n, -B), np.full(n, B)
+        at_hi = slopes(hi)[0] >= 0.0
+        at_lo = ~at_hi & (slopes(lo)[0] <= 0.0)
+        w = np.zeros(n)
+        open_ = ~(at_hi | at_lo)
+        for _ in range(_NEWTON_STEPS):
+            if not open_.any():
+                break
+            d1, d2 = slopes(w)
+            lo = np.where(d1 > 0.0, w, lo)
+            hi = np.where(d1 < 0.0, w, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = w + d1 / d2
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            step = np.where(d1 == 0.0, w, step)
+            moved = np.abs(step - w) > _NEWTON_TOL * (1.0 + np.abs(w))
+            w = np.where(open_, step, w)
+            open_ &= moved
+        w = np.where(at_hi, B, np.where(at_lo, -B, w))
+        change = s * (_log_sigmoid(tg * (zg + w[cand])) - _log_sigmoid(tg * zg))
+        gains = np.bincount(cand, weights=change, minlength=n) / self.n_instances
+        return np.maximum(gains, 0.0)
+
+
+def tables_for(model, ds: DataSet, tables: BlanketTables | None = None) -> BlanketTables:
+    """``tables`` checked against the model's edge set, or new tables for it."""
+    if ds.n_vars != model.n_vars:
+        raise ValueError(f"dataset has {ds.n_vars} variables, model has {model.n_vars}")
+    if tables is None:
+        return BlanketTables(ds, model.edges)
+    if tables.edges != model.edges or tables.n_vars != model.n_vars:
+        raise ValueError("blanket tables were built for a different edge set")
+    return tables

@@ -372,6 +372,13 @@ def parse_sweep(spec: str) -> tuple[list[int], list[int], list[str] | None]:
     return ms, ks, hs
 
 
+def cell_seed(base_seed: int, heuristic: str, m: int, k: int) -> int:
+    """Seed of one sweep cell: a function of the base seed and the cell alone,
+    so a cell gives the same result in any grid that contains it."""
+    entropy = [base_seed, HEURISTICS.index(heuristic), m, k]
+    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
+
+
 def _run_cell_on(splits: dict[str, DataSet], config: PruningConfig) -> tuple[dict[str, float], float, int]:
     t0 = time.perf_counter()
     result = forced_pruning(splits["train"], config)
@@ -397,10 +404,10 @@ def run_sweep(args) -> int:
     splits = _load_splits(args)  # also fails fast before launching worker processes
 
     grid = sorted((h, m, k) for h in heuristics for m in ms for k in ks)
-    cells_cfg = [
-        (h, m, k, args.seed + i, _cell_config(args, m, k, h, args.seed + i))
-        for i, (h, m, k) in enumerate(grid)
-    ]
+    cells_cfg = []
+    for h, m, k in grid:
+        seed = cell_seed(args.seed, h, m, k)
+        cells_cfg.append((h, m, k, seed, _cell_config(args, m, k, h, seed)))
     present = tuple(s for s in SPLITS if s in splits)
     report = ExperimentReport(dataset=name, config=_config_echo(args, name), splits=present)
 

@@ -1,9 +1,9 @@
 """Binary datasets and their empirical counts.
 
-Datasets are plain text, one instance per line, comma-separated 0/1 tokens
-(the distribution format of the standard density-estimation benchmarks,
-e.g. nltcs, plants, msnbc). All variables are strictly binary; anything
-else is a load-time error.
+Datasets are plain text, one instance per line, 0/1 tokens separated by
+commas (the distribution format of the standard density-estimation
+benchmarks, e.g. nltcs, plants, msnbc) or by whitespace. All variables are
+strictly binary; anything else is a load-time error.
 """
 
 from __future__ import annotations
@@ -99,39 +99,45 @@ _TOKEN = {"0": 0, "1": 1}
 
 
 def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
-    """Load a comma-separated 0/1 text file into a :class:`DataSet`.
+    """Load a comma- or whitespace-separated 0/1 text file into a :class:`DataSet`.
+
+    The separator is chosen from the first line: comma if it has one,
+    whitespace otherwise.
 
     Raises:
-        DatasetFormatError: empty file, ragged line lengths, or any token
-            other than "0"/"1"; the message names the offending line.
+        DatasetFormatError: empty file, ragged line lengths, a line whose
+            separator differs from the first line's, or any token other
+            than "0"/"1"; the message names the offending line.
         OSError: unreadable path.
     """
     path = os.fspath(path)
     buf = bytearray()
     width = None
+    sep = None
     n_rows = 0
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 raise DatasetFormatError(f"{path}: line {lineno}: empty line")
-            tokens = line.split(",")
+            if width is None and "," in line:
+                sep = ","
+            tokens = line.split(sep)
             if width is None:
                 width = len(tokens)
                 if width < 2:
-                    raise DatasetFormatError(
-                        f"{path}: line 1: need at least 2 variables per instance, got {width}"
-                    )
+                    raise _line_error(
+                        path, lineno, line, sep,
+                        f"need at least 2 variables per instance, got {width}")
             elif len(tokens) != width:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected {width} values, got {len(tokens)}"
-                )
+                raise _line_error(
+                    path, lineno, line, sep, f"expected {width} values, got {len(tokens)}")
             try:
                 buf.extend(_TOKEN[t] for t in tokens)
             except KeyError:
                 bad = next(t for t in tokens if t not in _TOKEN)
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: invalid token {bad!r} (expected 0 or 1)"
+                raise _line_error(
+                    path, lineno, line, sep, f"invalid token {bad!r} (expected 0 or 1)"
                 ) from None
             n_rows += 1
     if n_rows == 0:
@@ -140,6 +146,14 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
     return DataSet(X=X.astype(np.float64), name=name)
+
+
+def _line_error(path: str, lineno: int, line: str, sep: str | None, message: str) -> DatasetFormatError:
+    """Format error for a bad line, naming mixed separators when that is the cause."""
+    mixed = any(c.isspace() for c in line) if sep == "," else "," in line
+    if mixed:
+        message = "mixes comma and whitespace separators"
+    return DatasetFormatError(f"{path}: line {lineno}: {message}")
 
 
 def _check_index(ds: DataSet, i: int) -> None:

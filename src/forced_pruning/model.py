@@ -160,24 +160,15 @@ def _log_conditionals(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -T * A)
 
 
-def per_variable_pll_sums(model: PairwiseModel, ds: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Building blocks for incremental PLL evaluation.
+def pll(model: PairwiseModel, ds: DataSet) -> float:
+    """Mean per-instance pseudo-log-likelihood in nats (<= 0).
 
-    Returns (rows, weights, A, col_sums) where rows/weights are the
-    compressed instances, A the logit matrix on the rows, and col_sums[i]
-    the multiplicity-weighted sum over rows of log P(x_i | rest); the full
-    PLL is col_sums.sum() / n_instances.
+    Row-based reference evaluator; the learning loop uses the equivalent
+    group sums of :mod:`forced_pruning.blanket`.
     """
     _check_dims(model, ds)
     rows, weights = ds.compressed()
-    A = logits(model, rows)
-    col_sums = weights @ _log_conditionals(rows, A)
-    return rows, weights, A, col_sums
-
-
-def pll(model: PairwiseModel, ds: DataSet) -> float:
-    """Mean per-instance pseudo-log-likelihood in nats (<= 0)."""
-    _, _, _, col_sums = per_variable_pll_sums(model, ds)
+    col_sums = weights @ _log_conditionals(rows, logits(model, rows))
     return float(col_sums.sum() / ds.n_instances)
 
 
@@ -195,69 +186,16 @@ def pll_gradient(model: PairwiseModel, ds: DataSet) -> np.ndarray:
 
 
 def pll_without_edges(model: PairwiseModel, ds: DataSet, drop: Iterable[Edge]) -> float:
-    """PLL of the model with the weights of ``drop`` set to zero.
-
-    Equivalent to rebuilding the model with those weights zeroed; computed
-    incrementally because only the endpoints' conditionals change.
-    """
-    drop = [Edge(*e) for e in drop]
-    rows, weights, A, col_sums = per_variable_pll_sums(model, ds)
-    return _pll_without_edges_from_base(model, ds, drop, rows, weights, A, col_sums)
-
-
-def _pll_without_edges_from_base(
-    model: PairwiseModel,
-    ds: DataSet,
-    drop: list[Edge],
-    rows: np.ndarray,
-    weights: np.ndarray,
-    A: np.ndarray,
-    col_sums: np.ndarray,
-) -> float:
-    """Incremental core of :func:`pll_without_edges` reusing base terms."""
-    touched: dict[int, np.ndarray] = {}
+    """PLL of the model with the weights of ``drop`` set to zero."""
+    vec = model.weight_vector()
     for e in drop:
-        w = model.edge_weight(e)
-        for var, other in ((e.lo, e.hi), (e.hi, e.lo)):
-            col = touched.get(var, A[:, var])
-            touched[var] = col - w * rows[:, other]
-    total = col_sums.sum()
-    for var, col in touched.items():
-        t = 2.0 * rows[:, var] - 1.0
-        new_sum = weights @ (-np.logaddexp(0.0, -t * col))
-        total += new_sum - col_sums[var]
-    return float(total / ds.n_instances)
+        vec[model.n_vars + model.edge_index(e)] = 0.0
+    return pll(model.with_weights(vec), ds)
 
 
 def pll_delta_without_edge(model: PairwiseModel, ds: DataSet, e: Edge) -> float:
     """pll(model) - pll(model with the weight of ``e`` zeroed).
 
-    Positive when the edge helps; equals the full recomputation to within
-    float summation error (only the endpoints' conditionals change).
+    Positive when the edge helps; exactly 0.0 for an edge of weight 0.
     """
-    rows, weights, A, _ = per_variable_pll_sums(model, ds)
-    return _edge_delta_from_base(model, Edge(*e), rows, weights, A, ds.n_instances)
-
-
-def _edge_delta_from_base(
-    model: PairwiseModel,
-    e: Edge,
-    rows: np.ndarray,
-    weights: np.ndarray,
-    A: np.ndarray,
-    n_instances: int,
-) -> float:
-    """Core of :func:`pll_delta_without_edge` reusing precomputed logits."""
-    w = model.edge_weight(e)  # raises if inactive
-    delta = 0.0
-    for var, other in ((e.lo, e.hi), (e.hi, e.lo)):
-        mask = rows[:, other] == 1.0
-        if not mask.any():
-            continue
-        t = 2.0 * rows[mask, var] - 1.0
-        z = A[mask, var]
-        wts = weights[mask]
-        before = wts @ (-np.logaddexp(0.0, -t * z))
-        after = wts @ (-np.logaddexp(0.0, -t * (z - w)))
-        delta += before - after
-    return float(delta / n_instances)
+    return pll(model, ds) - pll_without_edges(model, ds, [e])

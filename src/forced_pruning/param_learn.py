@@ -3,7 +3,9 @@
 Fitting maximizes  pll(theta) - l2_strength * ||theta||^2  (the PLL is the
 per-instance mean, so the penalty is on that scale too). Tying quantizes the
 fitted weights into c clusters by exact 1-D dynamic programming, then refits
-one shared value per cluster.
+one shared value per cluster. Both fits evaluate the objective and its
+gradient in one pass over the Markov-blanket tables of the model's edge set
+(:mod:`forced_pruning.blanket`), which the caller may build once and share.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .blanket import BlanketTables, tables_for
 from .dataset import DataSet
-from .model import PairwiseModel, pll, pll_gradient
+from .model import PairwiseModel
 
 logger = logging.getLogger(__name__)
 
@@ -167,20 +170,25 @@ def _maximize(fun_grad, x0: np.ndarray, opts: FitOptions, what: str) -> np.ndarr
     return res.x
 
 
-def mple_fit(model: PairwiseModel, ds: DataSet, opts: FitOptions = FitOptions()) -> PairwiseModel:
+def mple_fit(
+    model: PairwiseModel,
+    ds: DataSet,
+    opts: FitOptions = FitOptions(),
+    tables: BlanketTables | None = None,
+) -> PairwiseModel:
     """Maximize pll - l2 * ||theta||^2 over all weights.
 
     Starts from the weights carried by ``model`` (pass a zero-weight model
     for a cold start; the pruning loop passes the previous iteration's
-    weights to warm-start).
+    weights to warm-start). ``tables`` are the blanket tables of ``ds`` under
+    the model's edge set; they are built here when not given.
     """
+    tables = tables_for(model, ds, tables)
     l2 = opts.l2_strength
 
     def fun_grad(vec):
-        m = model.with_weights(vec)
-        f = pll(m, ds) - l2 * float(vec @ vec)
-        g = pll_gradient(m, ds) - 2.0 * l2 * vec
-        return f, g
+        f, g = tables.pll_and_gradient(vec)
+        return f - l2 * float(vec @ vec), g - 2.0 * l2 * vec
 
     x = _maximize(fun_grad, model.weight_vector(), opts, "MPLE fit")
     return model.with_weights(x)
@@ -191,6 +199,7 @@ def tied_fit(
     ds: DataSet,
     partition: TyingPartition,
     opts: FitOptions = FitOptions(),
+    tables: BlanketTables | None = None,
 ) -> PairwiseModel:
     """Refit with all parameters in a cluster sharing one value.
 
@@ -202,15 +211,14 @@ def tied_fit(
         raise ValueError(
             f"partition covers {partition.n_params} parameters, model has {model.n_params}"
         )
+    tables = tables_for(model, ds, tables)
     assign = partition.assignment
     k = partition.n_clusters
     l2 = opts.l2_strength
 
     def fun_grad(mu):
-        m = model.with_weights(mu[assign])
-        f = pll(m, ds) - l2 * float(mu @ mu)
-        g = np.bincount(assign, weights=pll_gradient(m, ds), minlength=k) - 2.0 * l2 * mu
-        return f, g
+        f, g = tables.pll_and_gradient(mu[assign])
+        return f - l2 * float(mu @ mu), np.bincount(assign, weights=g, minlength=k) - 2.0 * l2 * mu
 
     mu = _maximize(fun_grad, partition.means, opts, "tied fit")
     return model.with_weights(mu[assign])
@@ -221,6 +229,7 @@ def learn_params_with_apt(
     ds: DataSet,
     c: int,
     opts: FitOptions = FitOptions(),
+    tables: BlanketTables | None = None,
 ) -> tuple[PairwiseModel, TyingPartition]:
     """Full parameter-learning pipeline: MPLE fit, quantize, tied refit.
 
@@ -228,9 +237,10 @@ def learn_params_with_apt(
     refit shared values, so ``partition.expand()`` reproduces the returned
     model's weights and the model has at most c distinct values.
     """
-    fitted = mple_fit(model, ds, opts)
+    tables = tables_for(model, ds, tables)
+    fitted = mple_fit(model, ds, opts, tables=tables)
     partition = quantize_params(fitted.weight_vector(), c)
-    tied = tied_fit(fitted, ds, partition, opts)
+    tied = tied_fit(fitted, ds, partition, opts, tables=tables)
     _, first = np.unique(partition.assignment, return_index=True)
     final = TyingPartition(
         assignment=partition.assignment,

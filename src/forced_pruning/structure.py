@@ -3,7 +3,10 @@
 The learner keeps exactly M = n_vars - 1 + extra_edges edges active at all
 times. It starts from the Chow-Liu tree plus random extra edges, then
 repeatedly refits parameters (with tying), drops the k weakest edges, and
-adds the k most promising edges from the inactive pool.
+adds the k most promising edges from the inactive pool. Each iteration
+builds the Markov-blanket tables of the current structure once
+(:mod:`forced_pruning.blanket`) and shares them between the fits, the
+deletion heuristic and the addition scoring.
 """
 
 from __future__ import annotations
@@ -14,20 +17,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from .blanket import BlanketTables, tables_for
 from .chowliu import chow_liu_tree
 from .dataset import DataSet
-from .model import (
-    Edge,
-    PairwiseModel,
-    _edge_delta_from_base,
-    _pll_without_edges_from_base,
-    complete_edges,
-    logits,
-    per_variable_pll_sums,
-    pll,
-)
+from .model import Edge, PairwiseModel, complete_edges
 from .param_learn import FitOptions, TyingPartition, learn_params_with_apt
 
 logger = logging.getLogger(__name__)
@@ -105,30 +99,32 @@ class RejectionOutcome(NamedTuple):
     fell_back: bool
 
 
-def edge_deletion_scores(model: PairwiseModel, ds: DataSet) -> list[EdgeScore]:
+def edge_deletion_scores(
+    model: PairwiseModel, ds: DataSet, tables: BlanketTables | None = None
+) -> list[EdgeScore]:
     """PLL contribution of each active edge, worst first.
 
     The score of edge e is pll(model) - pll(model with e's weight zeroed);
-    ties are broken lexicographically by edge.
+    ties are broken lexicographically by edge. ``tables`` are the blanket
+    tables of ``ds`` under the model's edge set, built here when not given.
     """
     if not model.edges:
         raise ValueError("model has no active edges to score")
-    rows, weights, A, _ = per_variable_pll_sums(model, ds)
-    scores = [
-        EdgeScore(e, _edge_delta_from_base(model, e, rows, weights, A, ds.n_instances))
-        for e in model.edges
-    ]
+    deltas = tables_for(model, ds, tables).deletion_deltas(model.weight_vector())
+    scores = [EdgeScore(e, float(d)) for e, d in zip(model.edges, deltas)]
     scores.sort(key=lambda s: (s.delta, s.edge))
     return scores
 
 
-def greedy_delete(model: PairwiseModel, ds: DataSet, k: int) -> set[Edge]:
+def greedy_delete(
+    model: PairwiseModel, ds: DataSet, k: int, tables: BlanketTables | None = None
+) -> set[Edge]:
     """The k active edges whose removal costs the least PLL."""
     if not 0 <= k <= len(model.edges):
         raise ValueError(f"k must be in [0, {len(model.edges)}], got {k}")
     if k == 0:
         return set()
-    return {s.edge for s in edge_deletion_scores(model, ds)[:k]}
+    return {s.edge for s in edge_deletion_scores(model, ds, tables)[:k]}
 
 
 def _draw_subset(items: Sequence, k: int, rng: np.random.Generator) -> list:
@@ -147,6 +143,7 @@ def rejection_sample_delete(
     k: int,
     rng: np.random.Generator,
     cap: int = 10000,
+    tables: BlanketTables | None = None,
 ) -> RejectionOutcome:
     """Sample a k-subset S of active edges with probability ∝ exp(pll without S).
 
@@ -162,16 +159,17 @@ def rejection_sample_delete(
         raise ValueError("cap must be >= 1")
     if k == 0:
         return RejectionOutcome(frozenset(), 0, False)
+    tables = tables_for(model, ds, tables)
     edges = sorted(model.edges)
-    rows, weights, A, col_sums = per_variable_pll_sums(model, ds)
+    index = {e: j for j, e in enumerate(model.edges)}
+    score = tables.subset_scorer(model.weight_vector())
     for proposals in range(1, cap + 1):
         subset = _draw_subset(edges, k, rng)
         u = rng.random()
-        score = _pll_without_edges_from_base(model, ds, subset, rows, weights, A, col_sums)
-        if u <= np.exp(score):
+        if u <= np.exp(score([index[e] for e in subset])):
             return RejectionOutcome(frozenset(subset), proposals, False)
     logger.info("no proposal accepted within cap %d, falling back to greedy deletion", cap)
-    return RejectionOutcome(frozenset(greedy_delete(model, ds, k)), cap, True)
+    return RejectionOutcome(frozenset(greedy_delete(model, ds, k, tables)), cap, True)
 
 
 def greedy_add(
@@ -180,14 +178,15 @@ def greedy_add(
     candidates: Iterable[Edge],
     k: int,
     opts: FitOptions = FitOptions(),
+    tables: BlanketTables | None = None,
 ) -> list[tuple[Edge, float]]:
     """The k inactive edges whose addition gains the most PLL.
 
-    Each candidate's gain is max over a single scalar weight w of
-    pll(model + candidate at w) - pll(model), all existing weights frozen;
-    the maximization is a bounded 1-D search. Gains are >= 0 because w = 0
-    recovers the unmodified model. Returns (edge, gain) pairs sorted by
-    descending gain, ties lexicographic.
+    Each candidate's gain is max over a single scalar weight w in [-30, 30]
+    of pll(model + candidate at w) - pll(model), all existing weights
+    frozen. Gains are >= 0 because w = 0 recovers the unmodified model.
+    Returns (edge, gain) pairs sorted by descending gain, ties lexicographic.
+    ``opts`` is accepted for call compatibility and unused.
     """
     candidates = sorted(Edge(*e) for e in candidates)
     if not 0 <= k <= len(candidates):
@@ -198,34 +197,8 @@ def greedy_add(
     for e in candidates:
         if e in active:
             raise ValueError(f"candidate {tuple(e)} is already active")
-    rows, weights = ds.compressed()
-    N = ds.n_instances
-    A = logits(model, rows)
-    T = 2.0 * rows - 1.0
-    ones = [np.flatnonzero(rows[:, v] == 1.0) for v in range(model.n_vars)]
-
-    scored = []
-    for e in candidates:
-        # only the endpoints' conditionals change, and only in rows where
-        # the other endpoint is 1
-        parts = []
-        for var, other in ((e.lo, e.hi), (e.hi, e.lo)):
-            idx = ones[other]
-            if idx.size:
-                parts.append((T[idx, var], A[idx, var], weights[idx]))
-        if not parts:
-            scored.append((e, 0.0))
-            continue
-        base = sum(wts @ (-np.logaddexp(0.0, -t * z)) for t, z, wts in parts)
-
-        def neg_gain(w):
-            new = sum(wts @ (-np.logaddexp(0.0, -t * (z + w))) for t, z, wts in parts)
-            return -(new - base) / N
-
-        res = minimize_scalar(neg_gain, bounds=(-30.0, 30.0), method="bounded",
-                              options={"xatol": 1e-6})
-        scored.append((e, max(0.0, -float(res.fun))))
-    scored.sort(key=lambda s: (-s[1], s[0]))
+    gains = tables_for(model, ds, tables).addition_gains(model.weight_vector(), candidates)
+    scored = sorted(zip(candidates, gains.tolist()), key=lambda s: (-s[1], s[0]))
     return scored[:k]
 
 
@@ -236,9 +209,10 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
     at random from the remaining pairs (seeded). Each iteration refits the
     parameters with tying (warm-started from the surviving weights), removes
     ``exchange_size`` edges by the configured heuristic, and adds the same
-    number of edges greedily from the inactive pool. The active set and the
-    pool partition the complete edge set throughout. Returns the iteration
-    with the lowest training negative PLL.
+    number of edges greedily from the inactive pool; the last iteration only
+    fits, so its record has empty ``deleted`` and ``added``. The active set
+    and the pool partition the complete edge set throughout. Returns the
+    iteration with the lowest training negative PLL.
     """
     V = train.n_vars
     all_edges = complete_edges(V)
@@ -268,20 +242,23 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
     records = []
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
-        model, partition = learn_params_with_apt(model, train, c, config.fit)
-        neg = -pll(model, train)
+        tables = BlanketTables(train, model.edges)
+        model, partition = learn_params_with_apt(model, train, c, config.fit, tables=tables)
+        neg = -tables.pll(model.weight_vector())
         if best is None or neg < best[0]:
             best = (neg, model, partition, it)
 
         proposals, fell_back = 0, False
-        if k > 0:
+        # the last iteration's exchange would never be fitted or scored
+        if k > 0 and it < config.max_iter:
             if config.heuristic == "greedy":
-                deleted = greedy_delete(model, train, k)
+                deleted = greedy_delete(model, train, k, tables=tables)
             else:
-                outcome = rejection_sample_delete(model, train, k, rng, config.rejection_cap)
+                outcome = rejection_sample_delete(
+                    model, train, k, rng, config.rejection_cap, tables=tables)
                 deleted = set(outcome.edges)
                 proposals, fell_back = outcome.proposals, outcome.fell_back
-            added = [e for e, _ in greedy_add(model, train, pool, k, config.fit)]
+            added = [e for e, _ in greedy_add(model, train, pool, k, config.fit, tables=tables)]
             active = sorted(set(active) - deleted | set(added))
             pool = sorted(set(pool) - set(added) | deleted)
             carried = dict(zip(model.edges, model.edge_weights))

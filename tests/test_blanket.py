@@ -1,0 +1,163 @@
+"""Markov-blanket tables against the row-based reference evaluators.
+
+Tolerances are fixed from float64 rounding on at most a few hundred rows:
+1e-12 for PLL values, gradients and deletion deltas (all of order 1 per
+instance), and 1e-9 for addition gains against a bounded Brent search,
+whose own error in the weight is below its 1e-10 tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
+
+from forced_pruning import (
+    DataSet,
+    Edge,
+    PairwiseModel,
+    complete_edges,
+    pll,
+    pll_gradient,
+    pll_without_edges,
+)
+from forced_pruning.blanket import BlanketTables, tables_for
+
+from conftest import random_dataset
+
+RTOL = 1e-12
+GAIN_ATOL = 1e-9
+BOUND = 30.0  # greedy_add searches weights in [-30, 30]
+
+
+@st.composite
+def models_and_data(draw, max_vars=6, max_rows=60):
+    n_vars = draw(st.integers(2, max_vars))
+    n_rows = draw(st.integers(1, max_rows))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_vars, max_size=n_vars),
+                         min_size=n_rows, max_size=n_rows))
+    pool = complete_edges(n_vars)
+    on = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    edges = tuple(e for e, keep in zip(pool, on) if keep)
+    weight = st.floats(-4.0, 4.0, allow_nan=False)
+    node = draw(st.lists(weight, min_size=n_vars, max_size=n_vars))
+    edge = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    model = PairwiseModel(n_vars, np.array(node), edges, np.array(edge))
+    return model, DataSet(np.array(bits, dtype=np.float64))
+
+
+def brent_gain(model, ds, e):
+    """Row-based best gain of adding e at one weight in the bounds."""
+    base = pll(model, ds)
+
+    def neg_gain(w):
+        grown = PairwiseModel(model.n_vars, model.node_weights, model.edges + (e,),
+                              np.append(model.edge_weights, w))
+        return base - pll(grown, ds)
+
+    res = minimize_scalar(neg_gain, bounds=(-BOUND, BOUND),
+                          method="bounded", options={"xatol": 1e-10})
+    return max(0.0, -res.fun, -neg_gain(BOUND), -neg_gain(-BOUND))
+
+
+def check_pll_and_gradient(model, ds):
+    f, g = BlanketTables(ds, model.edges).pll_and_gradient(model.weight_vector())
+    assert f == pytest.approx(pll(model, ds), rel=RTOL)
+    ref = pll_gradient(model, ds)
+    np.testing.assert_allclose(g, ref, rtol=RTOL, atol=RTOL * max(1.0, np.abs(ref).max()))
+
+
+def check_deletions(model, ds):
+    tables = BlanketTables(ds, model.edges)
+    theta = model.weight_vector()
+    base = pll(model, ds)
+    for e, d in zip(model.edges, tables.deletion_deltas(theta)):
+        assert d == pytest.approx(base - pll_without_edges(model, ds, [e]), abs=RTOL)
+    score = tables.subset_scorer(theta)
+    for size in range(1, len(model.edges) + 1):
+        drop = list(range(0, len(model.edges), max(1, len(model.edges) // size)))[:size]
+        expected = pll_without_edges(model, ds, [model.edges[j] for j in drop])
+        assert score(drop) == pytest.approx(expected, abs=RTOL)
+
+
+def check_additions(model, ds):
+    pool = [e for e in complete_edges(model.n_vars) if e not in set(model.edges)]
+    if not pool:
+        return
+    gains = BlanketTables(ds, model.edges).addition_gains(model.weight_vector(), pool)
+    for e, gain in zip(pool, gains):
+        assert gain == pytest.approx(brent_gain(model, ds, e), abs=GAIN_ATOL)
+
+
+class TestAgainstRowReference:
+    @settings(max_examples=60, deadline=None)
+    @given(models_and_data())
+    def test_pll_and_gradient(self, case):
+        check_pll_and_gradient(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(models_and_data())
+    def test_deletion_and_subset_scores(self, case):
+        model, ds = case
+        if model.edges:
+            check_deletions(model, ds)
+
+    @settings(max_examples=25, deadline=None)
+    @given(models_and_data(max_vars=5, max_rows=40))
+    def test_addition_gains_match_brent(self, case):
+        check_additions(*case)
+
+
+class TestSpecialCases:
+    def test_complete_graph(self, rng):
+        # every blanket is the whole row, so each variable has one group per unique row
+        ds = random_dataset(rng, 7, 200)
+        edges = tuple(complete_edges(7))
+        model = PairwiseModel(7, rng.normal(size=7), edges, rng.normal(size=len(edges)))
+        tables = BlanketTables(ds, edges)
+        n_unique = ds.compressed()[0].shape[0]
+        assert (np.diff(tables.start) == n_unique).all()
+        check_pll_and_gradient(model, ds)
+        check_deletions(model, ds)
+        assert tables.addition_gains(model.weight_vector(), np.zeros((0, 2))).size == 0
+
+    def test_constant_columns(self, rng):
+        X = (rng.random((80, 5)) < 0.5).astype(float)
+        X[:, 2] = 0.0
+        X[:, 4] = 1.0
+        ds = DataSet(X)
+        edges = (Edge(0, 2), Edge(1, 4), Edge(2, 3))
+        model = PairwiseModel(5, rng.normal(size=5), edges, rng.normal(size=3))
+        check_pll_and_gradient(model, ds)
+        check_deletions(model, ds)
+        check_additions(model, ds)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_deterministic_pair_optimum_at_bound(self, rng, sign):
+        X = (rng.random((60, 3)) < 0.5).astype(float)
+        X[:, 1] = X[:, 0] if sign > 0 else 1.0 - X[:, 0]
+        ds = DataSet(X)
+        model = PairwiseModel(3, np.array([0.0, -0.5 if sign > 0 else 0.5, 0.1]),
+                              (Edge(1, 2),), np.array([0.3]))
+        gains = BlanketTables(ds, model.edges).addition_gains(
+            model.weight_vector(), [Edge(0, 1)])
+        at_bound = PairwiseModel(3, model.node_weights, model.edges + (Edge(0, 1),),
+                                 np.array([0.3, sign * BOUND]))
+        assert gains[0] == pytest.approx(pll(at_bound, ds) - pll(model, ds), abs=RTOL)
+        assert gains[0] == pytest.approx(brent_gain(model, ds, Edge(0, 1)), abs=GAIN_ATOL)
+
+    def test_blanket_wider_than_64_columns(self, rng):
+        # a hub joined to 69 others: its blanket key spans 70 bits
+        n = 70
+        ds = random_dataset(rng, n, 40)
+        edges = tuple(Edge(0, j) for j in range(1, n))
+        model = PairwiseModel(n, rng.normal(size=n), edges, rng.normal(0, 0.2, size=n - 1))
+        tables = BlanketTables(ds, edges)
+        assert tables.start[1] == ds.compressed()[0].shape[0]
+        check_pll_and_gradient(model, ds)
+
+    def test_rejects_tables_of_another_structure(self, rng):
+        ds = random_dataset(rng, 4, 20)
+        tables = BlanketTables(ds, (Edge(0, 1),))
+        with pytest.raises(ValueError, match="different edge set"):
+            tables_for(PairwiseModel.zeros(4, (Edge(0, 2),)), ds, tables)

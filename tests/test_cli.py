@@ -251,6 +251,23 @@ class TestRunSweep:
         assert main(args + ["--out-dir", str(par), "--jobs", "2"]) == 0
         assert (seq / "report.csv").read_bytes() == (par / "report.csv").read_bytes()
 
+    def test_cell_result_independent_of_grid(self, tmp_path, rng):
+        X = (rng.random((150, 6)) < 0.5).astype(int)
+        X[:, 1] = X[:, 0] ^ (rng.random(150) < 0.2)
+        data = write_data_file(tmp_path / "six.data", X)
+        common = ["--train", data, "--max-iter", "3", "--seed", "7"]
+        alone, grid = tmp_path / "alone", tmp_path / "grid"
+        assert main(common + ["--sweep", "m=3;k=2;h=rejection", "--out-dir", str(alone)]) == 0
+        assert main(common + ["--sweep", "m=0,2,3;k=1,2;h=greedy,rejection",
+                              "--out-dir", str(grid)]) == 0
+
+        def cell_lines(path):
+            lines = (path / "report.csv").read_text().splitlines()
+            return [ln for ln in lines if ln.split(",")[1:4] == ["rejection", "3", "2"]]
+
+        assert len(cell_lines(alone)) == 1
+        assert cell_lines(alone) == cell_lines(grid)
+
     def test_apt_select_rejected_in_sweep(self, data_file, tmp_path, rng):
         valid = write_data_file(tmp_path / "v.data", (rng.random((20, 4)) < 0.5).astype(int))
         assert main([

@@ -29,6 +29,28 @@ class TestLoadDataset:
         ds = load_dataset(str(p))
         assert ds.n_instances == 2
 
+    @pytest.mark.parametrize("text", [
+        "0 1 1\n1 0 1\n",
+        "0\t1\t1\n1\t0\t1\n",
+        "0  1 \t1\n 1 0 1 \n",
+    ], ids=["spaces", "tabs", "mixed-whitespace"])
+    def test_whitespace_separated(self, tmp_path, text):
+        p = tmp_path / "d.data"
+        p.write_text(text)
+        np.testing.assert_array_equal(load_dataset(str(p)).X, [[0, 1, 1], [1, 0, 1]])
+
+    @pytest.mark.parametrize("text,line", [
+        ("0,1,1\n1 0 1\n", 2),
+        ("0 1 1\n1,0,1\n", 2),
+        ("0 1 1\n1 0 1\n0 1,1\n", 3),
+        ("0,1 1\n", 1),
+    ])
+    def test_mixed_separators_rejected(self, tmp_path, text, line):
+        p = tmp_path / "d.data"
+        p.write_text(text)
+        with pytest.raises(DatasetFormatError, match=rf"line {line}: mixes comma and whitespace"):
+            load_dataset(str(p))
+
     def test_invalid_token_reports_line(self, tmp_path):
         p = tmp_path / "d.data"
         p.write_text("0,1\n0,2\n")

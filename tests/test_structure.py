@@ -192,8 +192,9 @@ class TestForcedPruning:
         cfg = PruningConfig(extra_edges=2, exchange_size=2, max_iter=5, seed=1,
                             apt_clusters=8)
         result = forced_pruning(ds, cfg)
+        *exchanges, last = result.iterations
         prev_active = None
-        for rec in result.iterations:
+        for rec in exchanges:
             assert len(rec.deleted) == 2 and len(rec.added) == 2
             assert not set(rec.deleted) & set(rec.added)
             if prev_active is not None:
@@ -201,6 +202,10 @@ class TestForcedPruning:
                 assert not set(rec.added) & prev_active
                 assert set(rec.active_edges) == (prev_active - set(rec.deleted)) | set(rec.added)
             prev_active = set(rec.active_edges)
+        # the last iteration only fits: no exchange, structure kept
+        assert last.deleted == () and last.added == ()
+        assert set(last.active_edges) == prev_active
+        assert last.proposals == 0 and not last.fell_back
 
     def test_k_zero_never_changes_structure(self, rng):
         ds = random_dataset(rng, 5, 50)
