@@ -386,15 +386,17 @@ def _run_cell_on(splits: dict[str, DataSet], config: PruningConfig) -> tuple[dic
     return _eval_splits(result.model, splits), seconds, result.best_iteration
 
 
-def _run_cell(train_path: str, valid_path: str | None, test_path: str | None,
-              config: PruningConfig) -> tuple[dict[str, float], float, int]:
-    """Worker for one grid cell; reloads data so it can run in a subprocess."""
-    splits = {"train": load_dataset(train_path)}
-    if valid_path:
-        splits["valid"] = load_dataset(valid_path)
-    if test_path:
-        splits["test"] = load_dataset(test_path)
-    return _run_cell_on(splits, config)
+# The splits a pool worker runs its cells on, set once by _init_pool_worker.
+_pool_splits: dict[str, DataSet] = {}
+
+
+def _init_pool_worker(splits: dict[str, DataSet]) -> None:
+    global _pool_splits
+    _pool_splits = splits
+
+
+def _run_pool_cell(config: PruningConfig) -> tuple[dict[str, float], float, int]:
+    return _run_cell_on(_pool_splits, config)
 
 
 def run_sweep(args) -> int:
@@ -402,6 +404,8 @@ def run_sweep(args) -> int:
     heuristics = hs or [args.heuristic]
     name = args.name or _dataset_name(args.train)
     splits = _load_splits(args)  # also fails fast before launching worker processes
+    for ds in splits.values():
+        ds.compressed()  # once, before pool workers inherit the splits
 
     grid = sorted((h, m, k) for h in heuristics for m in ms for k in ks)
     cells_cfg = []
@@ -421,9 +425,11 @@ def run_sweep(args) -> int:
         logger.info("cell %s m=%d k=%d done in %.1fs", h, m, k, seconds)
 
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(grid)),
+                initializer=_init_pool_worker, initargs=(splits,)) as pool:
             futures = {
-                pool.submit(_run_cell, args.train, args.valid, args.test, cfg): (h, m, k, seed)
+                pool.submit(_run_pool_cell, cfg): (h, m, k, seed)
                 for h, m, k, seed, cfg in cells_cfg
             }
             for fut in concurrent.futures.as_completed(futures):

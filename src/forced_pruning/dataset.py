@@ -8,6 +8,7 @@ strictly binary; anything else is a load-time error.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -73,11 +74,6 @@ class DataSet:
     def n_instances(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def instances(self) -> np.ndarray:
-        """Instances as an int array (copy)."""
-        return self.X.astype(np.int8)
-
     def compressed(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique rows and their multiplicities.
 
@@ -87,7 +83,14 @@ class DataSet:
         order, which also makes such means independent of instance order.
         """
         if not self._compressed:
-            rows, counts = np.unique(self.X, axis=0, return_counts=True)
+            # Pack each row into big-endian 64-bit words, first column in the
+            # most significant bit: key order is then lexicographic row order.
+            packed = np.packbits(self.X.astype(np.uint8), axis=1)
+            packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+            keys = packed.view(">u8").astype(np.uint64)
+            axis = None if keys.shape[1] == 1 else 0  # one word: a flat unique
+            _, first, counts = np.unique(keys, axis=axis, return_index=True, return_counts=True)
+            rows = self.X[first]
             rows.setflags(write=False)
             weights = counts.astype(np.float64)
             weights.setflags(write=False)
@@ -102,7 +105,9 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
     """Load a comma- or whitespace-separated 0/1 text file into a :class:`DataSet`.
 
     The separator is chosen from the first line: comma if it has one,
-    whitespace otherwise.
+    whitespace otherwise. A file in the canonical layout (every line
+    ``[01](sep[01])*\\n`` with one separator byte) is parsed in one numpy
+    pass; any other file goes through the line-by-line parser.
 
     Raises:
         DatasetFormatError: empty file, ragged line lengths, a line whose
@@ -111,11 +116,18 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
         OSError: unreadable path.
     """
     path = os.fspath(path)
+    if name is None:
+        name = os.path.splitext(os.path.basename(path))[0]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    X = _parse_canonical(data)
+    if X is not None:
+        return DataSet(X=X.astype(np.float64), name=name)
     buf = bytearray()
     width = None
     sep = None
     n_rows = 0
-    with open(path, "r", encoding="ascii") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -143,9 +155,26 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
     if n_rows == 0:
         raise DatasetFormatError(f"{path}: empty file")
     X = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(n_rows, width)
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
     return DataSet(X=X.astype(np.float64), name=name)
+
+
+def _parse_canonical(data: bytes) -> np.ndarray | None:
+    """0/1 matrix of a canonical-layout file, or None for any other input.
+
+    Every line must have the first line's byte length, so the file reshapes
+    to one row per line, and the column checks then cover every byte.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    stride = data.find(b"\n") + 1  # bytes per line, newline included
+    if stride < 4 or stride % 2 or len(data) % stride or data[1] not in b", \t":
+        return None
+    cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, stride)
+    digits = cells[:, 0::2] - ord("0")
+    if ((digits <= 1).all() and (cells[:, 1:-1:2] == data[1]).all()
+            and (cells[:, -1] == ord("\n")).all()):
+        return digits
+    return None
 
 
 def _line_error(path: str, lineno: int, line: str, sep: str | None, message: str) -> DatasetFormatError:

@@ -1,7 +1,9 @@
 """CLI flows, model file round-trip, report formats, and exit codes."""
 
+import concurrent.futures
 import csv
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -250,6 +252,44 @@ class TestRunSweep:
         assert main(args + ["--out-dir", str(seq)]) == 0
         assert main(args + ["--out-dir", str(par), "--jobs", "2"]) == 0
         assert (seq / "report.csv").read_bytes() == (par / "report.csv").read_bytes()
+
+    # The patched loader reaches the pool workers only when they are forked
+    # from this process; under another start method they import a fresh module.
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="needs pool workers forked from the test process")
+    def test_pool_workers_never_reload_the_splits(self, data_file, tmp_path, rng, monkeypatch):
+        import forced_pruning.cli as cli_mod
+
+        split = write_data_file(tmp_path / "v.data", (rng.random((30, 4)) < 0.5).astype(int))
+        owner = os.getpid()
+        real = cli_mod.load_dataset
+
+        def parent_only(path, *a, **kw):
+            if os.getpid() != owner:
+                raise RuntimeError(f"pool worker reloaded {path}")
+            return real(path, *a, **kw)
+
+        monkeypatch.setattr(cli_mod, "load_dataset", parent_only)
+        args = ["--train", data_file, "--valid", split, "--test", split,
+                "--sweep", "m=0,1;k=1;h=greedy,rejection", "--max-iter", "2", "--seed", "4"]
+        seq, par = tmp_path / "seq", tmp_path / "par"
+        assert main(args + ["--out-dir", str(seq)]) == 0
+        assert main(args + ["--out-dir", str(par), "--jobs", "2"]) == 0
+        assert {r["status"] for r in read_csv(par / "timings.csv")} == {"ok"}
+        assert (seq / "report.csv").read_bytes() == (par / "report.csv").read_bytes()
+
+    def test_pool_capped_at_grid_size(self, data_file, tmp_path, monkeypatch):
+        workers = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        def recording(max_workers=None, **kw):
+            workers.append(max_workers)
+            return real(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        assert main(["--train", data_file, "--sweep", "m=0,1;k=1", "--max-iter", "1",
+                     "--jobs", "4", "--out-dir", str(tmp_path / "out")]) == 0
+        assert workers == [2]
 
     def test_cell_result_independent_of_grid(self, tmp_path, rng):
         X = (rng.random((150, 6)) < 0.5).astype(int)

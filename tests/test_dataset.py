@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forced_pruning import DataSet, DatasetFormatError, load_dataset, marginal_count, pair_counts
+from forced_pruning import dataset as dataset_mod
+from forced_pruning.dataset import _parse_canonical
 
 from conftest import make_dataset, write_data_file
 
@@ -33,7 +35,8 @@ class TestLoadDataset:
         "0 1 1\n1 0 1\n",
         "0\t1\t1\n1\t0\t1\n",
         "0  1 \t1\n 1 0 1 \n",
-    ], ids=["spaces", "tabs", "mixed-whitespace"])
+        "0 1 1\n1\t0\t1\n",
+    ], ids=["spaces", "tabs", "mixed-whitespace", "space-then-tab"])
     def test_whitespace_separated(self, tmp_path, text):
         p = tmp_path / "d.data"
         p.write_text(text)
@@ -80,6 +83,70 @@ class TestLoadDataset:
             load_dataset(str(tmp_path / "absent.data"))
 
 
+def load_by_lines(path, monkeypatch):
+    """load_dataset with the canonical fast path switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(dataset_mod, "_parse_canonical", lambda data: None)
+        return load_dataset(path)
+
+
+class TestCanonicalFastPath:
+    """The one-pass numpy parser against the line-by-line parser."""
+
+    @pytest.mark.parametrize("sep", [",", " ", "\t"], ids=["comma", "space", "tab"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("n_vars", [2, 3, 17])
+    def test_matches_line_parser(self, tmp_path, rng, monkeypatch, sep, final_newline, n_vars):
+        X = (rng.random((25, n_vars)) < 0.5).astype(int)
+        text = "\n".join(sep.join(map(str, row)) for row in X)
+        p = tmp_path / "canon.train.data"
+        p.write_bytes(text.encode() + (b"\n" if final_newline else b""))
+        assert _parse_canonical(p.read_bytes()) is not None
+        ds, ref = load_dataset(str(p)), load_by_lines(str(p), monkeypatch)
+        np.testing.assert_array_equal(ds.X, ref.X)
+        np.testing.assert_array_equal(ds.X, X)
+        assert ds.X.dtype == np.float64 and not ds.X.flags.writeable
+        assert ds.name == ref.name == "canon.train"
+
+    @pytest.mark.parametrize("text,message", [
+        ("0,1,1\n1 0 1\n", "line 2: mixes comma and whitespace separators"),
+        ("0 1 1\n1,0,1\n", "line 2: mixes comma and whitespace separators"),
+        ("0 1 1\n1 0 1\n0 1,1\n", "line 3: mixes comma and whitespace separators"),
+        ("0,1 1\n", "line 1: mixes comma and whitespace separators"),
+        ("0,1\n0,2\n", "line 2: invalid token '2' (expected 0 or 1)"),
+        ("0,1,0\n0,1\n", "line 2: expected 3 values, got 2"),
+        ("", "empty file"),
+        ("0\n1\n", "line 1: need at least 2 variables per instance, got 1"),
+        ("0,1\n\n0,1\n", "line 2: empty line"),
+    ], ids=["comma-then-space", "space-then-comma", "late-mix", "first-line-mix",
+            "bad-token", "ragged", "empty", "one-variable", "blank-line"])
+    def test_malformed_files_name_their_line(self, tmp_path, text, message):
+        p = tmp_path / "d.data"
+        p.write_bytes(text.encode())
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(str(p))
+        assert str(err.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize("text,message", [
+        ("0,1,1\n10,1,1\n0,1,\n", "line 2: invalid token '10' (expected 0 or 1)"),
+        ("0,1,1\n0,,1\n1,1,1,\n", "line 2: invalid token '' (expected 0 or 1)"),
+        ("0,1,1\n0,1,1,\n0,1,\n", "line 2: expected 3 values, got 4"),
+        ("0,1,0\n0,1\n0,1,0,1\n", "line 2: expected 3 values, got 2"),
+        ("0,1,0\n0,1,0,1,0,1\n", "line 2: expected 3 values, got 6"),
+    ], ids=["token-10", "empty-token", "trailing-comma", "ragged", "double-line"])
+    def test_canonical_looking_files_rejected(self, tmp_path, text, message):
+        # the byte length is a multiple of the first line's, so the file
+        # reshapes; the column check must still reject it
+        data = text.encode()
+        assert len(data) % (data.index(b"\n") + 1) == 0
+        assert _parse_canonical(data) is None
+        p = tmp_path / "d.data"
+        p.write_bytes(data)
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(str(p))
+        assert str(err.value) == f"{p}: {message}"
+
+
 class TestDataSetValidation:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
@@ -102,14 +169,23 @@ class TestDataSetValidation:
         assert len(np.unique(rows, axis=0)) == rows.shape[0]
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 5), st.integers(1, 30), st.integers(0, 10**6))
-    def test_compressed_round_trip(self, n_vars, n_rows, seed):
+    @given(st.integers(1, 60), st.integers(1, 12), st.integers(0, 10**6))
+    def test_compressed_round_trip(self, n_rows, n_patterns, seed):
+        # rows drawn from a few patterns, so most rows are duplicates; the
+        # widths cross the byte and 64-bit word boundaries of the packed keys
         rng = np.random.default_rng(seed)
-        ds = DataSet((rng.random((n_rows, n_vars)) < 0.5).astype(float))
-        rows, weights = ds.compressed()
-        rebuilt = np.repeat(rows, weights.astype(int), axis=0)
-        orig = ds.X[np.lexsort(ds.X.T[::-1])]
-        np.testing.assert_array_equal(rebuilt, orig)
+        for n_vars in (2, 3, 8, 9, 63, 64, 65, 130):
+            patterns = rng.random((n_patterns, n_vars)) < rng.random()
+            ds = DataSet(patterns[rng.integers(0, n_patterns, n_rows)].astype(float))
+            rows, weights = ds.compressed()
+            ref_rows, ref_counts = np.unique(ds.X, axis=0, return_counts=True)
+            np.testing.assert_array_equal(rows, ref_rows)
+            np.testing.assert_array_equal(weights, ref_counts)
+            assert rows.dtype == weights.dtype == np.float64
+            assert not rows.flags.writeable and not weights.flags.writeable
+            rebuilt = np.repeat(rows, weights.astype(int), axis=0)
+            orig = ds.X[np.lexsort(ds.X.T[::-1])]
+            np.testing.assert_array_equal(rebuilt, orig)
 
 
 class TestCounts:
