@@ -12,10 +12,10 @@ are unique rows, and a sparse structure has far fewer: the plants Chow-Liu
 tree has about 500 groups in all against about 8000 unique rows per
 variable.
 
-Groups are keyed by the packed bits of the blanket columns, so grouping is
-exact at any blanket size. Every reduction here is a sequential
-``np.bincount`` over a fixed order, so results do not depend on BLAS
-threading.
+Groups are keyed by the blanket bits packed into big-endian 64-bit words (one
+integer per row up to 64 columns), so grouping is exact at any blanket size.
+Every reduction here is a sequential ``np.bincount`` over a fixed order, so
+results do not depend on BLAS threading.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .dataset import DataSet
+from .dataset import DataSet, unique_rows
 
 ADD_WEIGHT_BOUND = 30.0
 _NEWTON_STEPS = 100
@@ -69,14 +69,13 @@ class BlanketTables:
         for lo, hi in self.edges:
             neighbours[lo].append(hi)
             neighbours[hi].append(lo)
-        bits = rows.astype(bool)
+        bits = rows.astype(np.uint8)
         reps, counts, inverse, sizes = [], [], [], []
         for v in range(V):
-            packed = np.packbits(bits[:, [v] + sorted(neighbours[v])], axis=1)
-            keys = np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
-            _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+            _, first, inv = unique_rows(bits[:, [v] + sorted(neighbours[v])],
+                                        return_index=True, return_inverse=True)
             reps.append(first)
-            counts.append(np.bincount(inv, weights=weights))
+            counts.append(np.bincount(inv.ravel(), weights=weights))
             inverse.append(inv.ravel().astype(np.int32))
             sizes.append(first.size)
         self.start = np.concatenate([[0], np.cumsum(sizes)])
@@ -88,17 +87,16 @@ class BlanketTables:
         self.t = 2.0 * self.x - 1.0
         self._inverse = inverse  # per variable: group of each compressed row
 
-        inc = []
-        for lo, hi in self.edges:
-            touched = [
-                self.start[v] + np.flatnonzero(rep_rows[self.start[v]:self.start[v + 1], u])
-                for v, u in ((lo, hi), (hi, lo))
-            ]
-            inc.append(np.concatenate(touched))
-        sizes_e = [g.size for g in inc]
-        self.inc_ptr = np.concatenate([[0], np.cumsum(sizes_e)]).astype(np.int64)
-        self.inc_group = np.concatenate(inc) if inc else np.zeros(0, dtype=np.int64)
-        self.inc_edge = np.repeat(np.arange(len(self.edges)), sizes_e)
+        # both sides of every edge in turn: the groups of one endpoint in
+        # which the other endpoint is 1
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        side, other = ends.ravel(), ends[:, ::-1].ravel()
+        lengths = self.start[side + 1] - self.start[side]
+        g = _ranges(self.start[side], lengths)
+        touched = rep_rows[g, np.repeat(other, lengths)] > 0
+        self.inc_group = g[touched]
+        self.inc_edge = np.repeat(np.arange(side.size) // 2, lengths)[touched]
+        self.inc_ptr = np.searchsorted(self.inc_edge, np.arange(len(self.edges) + 1))
 
     @property
     def n_groups(self) -> int:
@@ -197,31 +195,38 @@ class BlanketTables:
         g, cand, s = g[keep], cand[keep], s[keep]
         tg, zg = self.t[g], z[g]
 
-        def slopes(w):
+        def slopes(w, cand, s, tg, zg):
             p = expit(-tg * (zg + w[cand]))  # 1 - P(x_var | blanket) at weight w
-            d1 = np.bincount(cand, weights=s * tg * p, minlength=n)
-            d2 = np.bincount(cand, weights=s * p * (1.0 - p), minlength=n)
+            d1 = np.bincount(cand, weights=s * tg * p, minlength=w.size)
+            d2 = np.bincount(cand, weights=s * p * (1.0 - p), minlength=w.size)
             return d1, d2
 
         B = ADD_WEIGHT_BOUND
-        lo, hi = np.full(n, -B), np.full(n, B)
-        at_hi = slopes(hi)[0] >= 0.0
-        at_lo = ~at_hi & (slopes(lo)[0] <= 0.0)
+        at_hi = slopes(np.full(n, B), cand, s, tg, zg)[0] >= 0.0
+        at_lo = ~at_hi & (slopes(np.full(n, -B), cand, s, tg, zg)[0] <= 0.0)
         w = np.zeros(n)
-        open_ = ~(at_hi | at_lo)
+        # Newton steps over the open candidates only: each step drops the
+        # closed ones and their entries, keeping every candidate's entries in
+        # their order, so each sum adds the same terms in the same order
+        is_open = ~(at_hi | at_lo)
+        open_, entries = np.flatnonzero(is_open), (cand, s, tg, zg)
+        lo, hi = np.full(open_.size, -B), np.full(open_.size, B)
         for _ in range(_NEWTON_STEPS):
-            if not open_.any():
+            if not open_.size:
                 break
-            d1, d2 = slopes(w)
-            lo = np.where(d1 > 0.0, w, lo)
-            hi = np.where(d1 < 0.0, w, hi)
+            kept = is_open[entries[0]]
+            entries = ((np.cumsum(is_open) - 1)[entries[0][kept]], *(a[kept] for a in entries[1:]))
+            wo = w[open_]
+            d1, d2 = slopes(wo, *entries)
+            lo = np.where(d1 > 0.0, wo, lo)
+            hi = np.where(d1 < 0.0, wo, hi)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = w + d1 / d2
+                step = wo + d1 / d2
             step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            step = np.where(d1 == 0.0, w, step)
-            moved = np.abs(step - w) > _NEWTON_TOL * (1.0 + np.abs(w))
-            w = np.where(open_, step, w)
-            open_ &= moved
+            step = np.where(d1 == 0.0, wo, step)
+            w[open_] = step
+            is_open = np.abs(step - wo) > _NEWTON_TOL * (1.0 + np.abs(wo))
+            open_, lo, hi = open_[is_open], lo[is_open], hi[is_open]
         w = np.where(at_hi, B, np.where(at_lo, -B, w))
         change = s * (_log_sigmoid(tg * (zg + w[cand])) - _log_sigmoid(tg * zg))
         gains = np.bincount(cand, weights=change, minlength=n) / self.n_instances

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -16,40 +15,36 @@ class WeightedEdge(NamedTuple):
     weight: float  # mutual information, nats
 
 
-def _mi_from_counts(n00: int, n01: int, n10: int, n11: int) -> float:
-    """Empirical MI of a 2x2 table, 0*log(0/q) := 0, clamped at 0."""
+def _mi_of_tables(n00, n01, n10, n11) -> np.ndarray:
+    """Empirical MI of 2x2 count tables, elementwise; 0*log(0/q) := 0, clamped at 0."""
     n = n00 + n01 + n10 + n11
     cells = ((n00, n00 + n01, n00 + n10), (n01, n00 + n01, n01 + n11),
              (n10, n10 + n11, n00 + n10), (n11, n10 + n11, n01 + n11))
     mi = 0.0
-    for cell, row, col in cells:
-        if cell > 0:
-            mi += (cell / n) * math.log(cell * n / (row * col))
-    return max(mi, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for cell, row, col in cells:
+            mi = mi + np.where(cell > 0, (cell / n) * np.log(cell * n / (row * col)), 0.0)
+    return np.maximum(mi, 0.0)
 
 
 def mutual_information(ds: DataSet, i: int, j: int) -> float:
     """MI of the empirical joint of (X_i, X_j), in nats. Symmetric in (i, j)."""
-    c = pair_counts(ds, i, j)
-    return _mi_from_counts(c.n00, c.n01, c.n10, c.n11)
+    c = pair_counts(ds, min(i, j), max(i, j))
+    return float(_mi_of_tables(*np.array(c, dtype=np.float64)))
 
 
 def mutual_information_matrix(ds: DataSet) -> np.ndarray:
-    """Symmetric (n_vars, n_vars) matrix of pairwise MI, zero diagonal."""
-    X = ds.X
-    n = ds.n_instances
-    ones = X.sum(axis=0)
-    joint11 = X.T @ X
-    v = ds.n_vars
-    M = np.zeros((v, v))
-    for i in range(v):
-        for j in range(i + 1, v):
-            n11 = int(joint11[i, j])
-            n10 = int(ones[i]) - n11
-            n01 = int(ones[j]) - n11
-            n00 = n - n11 - n10 - n01
-            M[i, j] = M[j, i] = _mi_from_counts(n00, n01, n10, n11)
-    return M
+    """Symmetric (n_vars, n_vars) matrix of pairwise MI, zero diagonal.
+
+    The 2x2 tables come from the weighted compressed rows; their integer
+    counts are exact in any summation order."""
+    rows, weights = ds.compressed()
+    ones = weights @ rows
+    n11 = (rows * weights[:, None]).T @ rows
+    n10, n01 = ones[:, None] - n11, ones - n11
+    n00 = ds.n_instances - n11 - n10 - n01
+    upper = np.triu(_mi_of_tables(n00, n01, n10, n11), 1)
+    return upper + upper.T
 
 
 def weighted_edges(ds: DataSet) -> list[WeightedEdge]:
@@ -57,12 +52,11 @@ def weighted_edges(ds: DataSet) -> list[WeightedEdge]:
 
     Sorted by descending weight, ties in lexicographic (lo, hi) order.
     """
-    v = ds.n_vars
-    M = mutual_information_matrix(ds)
-    return sorted(
-        (WeightedEdge(Edge(i, j), M[i, j]) for i in range(v) for j in range(i + 1, v)),
-        key=lambda we: (-we.weight, we.edge),
-    )
+    lo, hi = np.triu_indices(ds.n_vars, 1)  # lexicographic edge order
+    weights = mutual_information_matrix(ds)[lo, hi]
+    order = np.argsort(-weights, kind="stable")
+    return [WeightedEdge(Edge(i, j), w)
+            for i, j, w in zip(lo[order].tolist(), hi[order].tolist(), weights[order])]
 
 
 def chow_liu_tree(ds: DataSet) -> list[Edge]:
@@ -70,8 +64,13 @@ def chow_liu_tree(ds: DataSet) -> list[Edge]:
 
     Greedy edge-sorting construction; equal-weight edges are taken in
     lexicographic (lo, hi) order, so the result is deterministic. Returns
-    the n_vars - 1 tree edges sorted lexicographically.
+    the n_vars - 1 tree edges sorted lexicographically. The tree depends on
+    the data alone, so it is computed once per dataset and cached on it.
     """
+    return list(ds.cached("chow_liu_tree", _max_spanning_tree))
+
+
+def _max_spanning_tree(ds: DataSet) -> tuple[Edge, ...]:
     v = ds.n_vars
     ranked = weighted_edges(ds)
     parent = list(range(v))
@@ -90,4 +89,4 @@ def chow_liu_tree(ds: DataSet) -> list[Edge]:
             tree.append(e)
             if len(tree) == v - 1:
                 break
-    return sorted(tree)
+    return tuple(sorted(tree))

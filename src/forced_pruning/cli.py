@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .chowliu import chow_liu_tree
 from .dataset import DataSet, DatasetFormatError, load_dataset
 from .model import Edge, PairwiseModel, pll
 from .param_learn import FitError, FitOptions, TyingPartition
@@ -406,6 +407,7 @@ def run_sweep(args) -> int:
     splits = _load_splits(args)  # also fails fast before launching worker processes
     for ds in splits.values():
         ds.compressed()  # once, before pool workers inherit the splits
+    chow_liu_tree(splits["train"])  # likewise
 
     grid = sorted((h, m, k) for h in heuristics for m in ms for k in ks)
     cells_cfg = []

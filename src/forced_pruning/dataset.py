@@ -48,8 +48,8 @@ class DataSet:
 
     X: np.ndarray
     name: str = "dataset"
-    # (unique rows, multiplicities) cache; exact compression, never observable.
-    _compressed: list = field(default=None, repr=False, compare=False)
+    # values derived from X alone (compression, Chow-Liu tree), never observable
+    _cache: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -64,7 +64,13 @@ class DataSet:
             raise ValueError("instance entries must be 0 or 1")
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "_compressed", [])
+        object.__setattr__(self, "_cache", {})
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writable; keep the cache, restore the flags
+        self.__dict__.update(state)
+        for a in (self.X, *self._cache.get("compressed", ())):
+            a.setflags(write=False)
 
     @property
     def n_vars(self) -> int:
@@ -74,6 +80,12 @@ class DataSet:
     def n_instances(self) -> int:
         return self.X.shape[0]
 
+    def cached(self, key: str, compute):
+        """``compute(self)``, computed on the first call for ``key`` and kept."""
+        if key not in self._cache:
+            self._cache[key] = compute(self)
+        return self._cache[key]
+
     def compressed(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique rows and their multiplicities.
 
@@ -82,20 +94,30 @@ class DataSet:
         identical up to float summation order. Rows come out in lexicographic
         order, which also makes such means independent of instance order.
         """
-        if not self._compressed:
-            # Pack each row into big-endian 64-bit words, first column in the
-            # most significant bit: key order is then lexicographic row order.
-            packed = np.packbits(self.X.astype(np.uint8), axis=1)
-            packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
-            keys = packed.view(">u8").astype(np.uint64)
-            axis = None if keys.shape[1] == 1 else 0  # one word: a flat unique
-            _, first, counts = np.unique(keys, axis=axis, return_index=True, return_counts=True)
-            rows = self.X[first]
-            rows.setflags(write=False)
-            weights = counts.astype(np.float64)
-            weights.setflags(write=False)
-            self._compressed.append((rows, weights))
-        return self._compressed[0]
+        return self.cached("compressed", _compress)
+
+
+def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray]:
+    _, first, counts = unique_rows(ds.X, return_index=True, return_counts=True)
+    rows, weights = ds.X[first], counts.astype(np.float64)
+    rows.setflags(write=False)
+    weights.setflags(write=False)
+    return rows, weights
+
+
+def unique_rows(bits: np.ndarray, **kwargs):
+    """``np.unique`` over the rows of a 0/1 matrix, in lexicographic row order.
+
+    Each row is packed into big-endian 64-bit words, first column in the
+    most significant bit, so key order is row order. Rows of at most 64
+    columns are one integer each and take a flat integer unique.
+    """
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1)
+    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    keys = words.view(">u8").astype(np.uint64)
+    axis = None if keys.shape[1] == 1 else 0
+    return np.unique(keys, axis=axis, **kwargs)
 
 
 _TOKEN = {"0": 0, "1": 1}

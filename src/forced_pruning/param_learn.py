@@ -97,7 +97,8 @@ def quantize_params(params: np.ndarray, c: int) -> TyingPartition:
 
     Minimizes the total squared distance to cluster means exactly: optimal
     clusters are contiguous intervals of the sorted values, found by dynamic
-    programming over interval costs. Deterministic; on ties the earliest
+    programming over interval costs, one (n+1) x (n+1) array of (split i,
+    end j) candidates per cluster count. Deterministic; on ties the earliest
     split is preferred.
     """
     params = np.asarray(params, dtype=np.float64).ravel()
@@ -111,24 +112,22 @@ def quantize_params(params: np.ndarray, c: int) -> TyingPartition:
     s = np.concatenate([[0.0], np.cumsum(x)])
     q = np.concatenate([[0.0], np.cumsum(x * x)])
 
-    cost = np.full((c + 1, n + 1), np.inf)
+    # interval (i, j] costs q[j]-q[i] - tot^2/(j-i); i >= j is no interval
+    idx = np.arange(n + 1)
+    gap = idx - idx[:, None]
+    tot = s - s[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.where(gap > 0, tot * tot / gap, -np.inf)
+    dq = q - q[:, None]
+    cost = np.where(idx > 0, np.inf, 0.0)  # prefixes too short for t clusters stay inf
     split = np.zeros((c + 1, n + 1), dtype=np.int64)
-    cost[0, 0] = 0.0
     for t in range(1, c + 1):
-        # j values below t can't host t non-empty clusters
-        for j in range(t, n - (c - t) + 1):
-            i = np.arange(t - 1, j)
-            tot = s[j] - s[i]
-            v = cost[t - 1, i] + (q[j] - q[i]) - tot * tot / (j - i)
-            arg = int(np.argmin(v))  # first minimum: earliest split wins ties
-            cost[t, j] = v[arg]
-            split[t, j] = i[arg]
+        v = cost[:, None] + dq - spread
+        split[t] = np.argmin(v, axis=0)  # first minimum: earliest split wins ties
+        cost = v[split[t], idx]
     bounds = [n]
-    j = n
     for t in range(c, 0, -1):
-        j = int(split[t, j])
-        bounds.append(j)
-    bounds.reverse()
+        bounds.insert(0, int(split[t, bounds[0]]))
 
     assignment = np.empty(n, dtype=np.int64)
     means = np.empty(c)

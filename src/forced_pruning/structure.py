@@ -177,7 +177,6 @@ def greedy_add(
     ds: DataSet,
     candidates: Iterable[Edge],
     k: int,
-    opts: FitOptions = FitOptions(),
     tables: BlanketTables | None = None,
 ) -> list[tuple[Edge, float]]:
     """The k inactive edges whose addition gains the most PLL.
@@ -186,7 +185,6 @@ def greedy_add(
     of pll(model + candidate at w) - pll(model), all existing weights
     frozen. Gains are >= 0 because w = 0 recovers the unmodified model.
     Returns (edge, gain) pairs sorted by descending gain, ties lexicographic.
-    ``opts`` is accepted for call compatibility and unused.
     """
     candidates = sorted(Edge(*e) for e in candidates)
     if not 0 <= k <= len(candidates):
@@ -258,7 +256,7 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
                     model, train, k, rng, config.rejection_cap, tables=tables)
                 deleted = set(outcome.edges)
                 proposals, fell_back = outcome.proposals, outcome.fell_back
-            added = [e for e, _ in greedy_add(model, train, pool, k, config.fit, tables=tables)]
+            added = [e for e, _ in greedy_add(model, train, pool, k, tables=tables)]
             active = sorted(set(active) - deleted | set(added))
             pool = sorted(set(pool) - set(added) | deleted)
             carried = dict(zip(model.edges, model.edge_weights))

@@ -1,5 +1,7 @@
-"""Shared test helpers: synthetic models, exact enumeration, benchmark data."""
+"""Shared test helpers: synthetic models, exact enumeration, slow exact references
+for the vectorized fast paths, benchmark data."""
 
+import math
 import os
 
 # pin BLAS threading before numpy loads so float reductions are reproducible
@@ -13,6 +15,9 @@ import pytest
 from forced_pruning import DataSet, Edge, PairwiseModel, complete_edges, pll
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# subprocesses such as `python -m forced_pruning` import this checkout's package
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
 DATA_ENV = "FORCED_PRUNING_DATA"
 BENCHMARK_SPLITS = ("train", "valid", "test")
 
@@ -117,3 +122,145 @@ def toy_dataset():
         "0000", "1100", "0010", "1110",
         "0001", "1101", "0011", "1111",
     ], name="toy")
+
+
+# Slow exact references for the vectorized fast paths. Each is the scalar or
+# looped form the fast path replaced; tests compare the two byte for byte.
+
+def quantize_reference(params, c):
+    """Optimal c-cluster quantization by the scalar DP: (assignment, means)."""
+    x_all = np.asarray(params, dtype=np.float64).ravel()
+    n = x_all.size
+    order = np.argsort(x_all, kind="stable")
+    x = x_all[order]
+    s = np.concatenate([[0.0], np.cumsum(x)])
+    q = np.concatenate([[0.0], np.cumsum(x * x)])
+    cost = np.full((c + 1, n + 1), np.inf)
+    split = np.zeros((c + 1, n + 1), dtype=np.int64)
+    cost[0, 0] = 0.0
+    for t in range(1, c + 1):
+        for j in range(t, n - (c - t) + 1):
+            i = np.arange(t - 1, j)
+            tot = s[j] - s[i]
+            v = cost[t - 1, i] + (q[j] - q[i]) - tot * tot / (j - i)
+            arg = int(np.argmin(v))
+            cost[t, j] = v[arg]
+            split[t, j] = i[arg]
+    bounds = [n]
+    j = n
+    for t in range(c, 0, -1):
+        j = int(split[t, j])
+        bounds.append(j)
+    bounds.reverse()
+    assignment = np.empty(n, dtype=np.int64)
+    means = np.empty(c)
+    for a in range(c):
+        lo, hi = bounds[a], bounds[a + 1]
+        assignment[order[lo:hi]] = a
+        means[a] = (s[hi] - s[lo]) / (hi - lo)
+    return assignment, means
+
+
+def void_key_tables(ds, edges):
+    """Blanket group arrays by void-key grouping and a loop over edges."""
+    rows, weights = ds.compressed()
+    V = ds.n_vars
+    neighbours = [[] for _ in range(V)]
+    for lo, hi in edges:
+        neighbours[lo].append(hi)
+        neighbours[hi].append(lo)
+    bits = rows.astype(bool)
+    reps, counts, inverse, sizes = [], [], [], []
+    for v in range(V):
+        packed = np.packbits(bits[:, [v] + sorted(neighbours[v])], axis=1)
+        keys = np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        reps.append(first)
+        counts.append(np.bincount(inv, weights=weights))
+        inverse.append(inv.ravel().astype(np.int32))
+        sizes.append(first.size)
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    rep = np.concatenate(reps)
+    rep_rows = rows[rep]
+    inc = []
+    for lo, hi in edges:
+        inc.append(np.concatenate([
+            start[v] + np.flatnonzero(rep_rows[start[v]:start[v + 1], u])
+            for v, u in ((lo, hi), (hi, lo))
+        ]))
+    sizes_e = [g.size for g in inc]
+    return {
+        "start": start,
+        "var": np.repeat(np.arange(V), sizes),
+        "rep": rep,
+        "count": np.concatenate(counts),
+        "inverse": inverse,
+        "inc_ptr": np.concatenate([[0], np.cumsum(sizes_e)]).astype(np.int64),
+        "inc_group": np.concatenate(inc) if inc else np.zeros(0, dtype=np.int64),
+        "inc_edge": np.repeat(np.arange(len(edges)), sizes_e),
+    }
+
+
+def full_width_gains(tables, theta, candidates):
+    """BlanketTables.addition_gains with every Newton step over all candidates."""
+    from scipy.special import expit
+
+    from forced_pruning.blanket import ADD_WEIGHT_BOUND, _NEWTON_STEPS, _NEWTON_TOL, _ranges
+
+    def log_sigmoid(y):
+        return -np.logaddexp(0.0, -y)
+
+    candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+    n = candidates.shape[0]
+    z = tables.logits(theta)
+    side_var = np.concatenate([candidates[:, 0], candidates[:, 1]])
+    side_other = np.concatenate([candidates[:, 1], candidates[:, 0]])
+    lengths = tables.start[side_var + 1] - tables.start[side_var]
+    g = _ranges(tables.start[side_var], lengths)
+    cand = np.repeat(np.concatenate([np.arange(n), np.arange(n)]), lengths)
+    s = tables.ones[g, np.repeat(side_other, lengths)]
+    keep = s > 0
+    g, cand, s = g[keep], cand[keep], s[keep]
+    tg, zg = tables.t[g], z[g]
+
+    def slopes(w):
+        p = expit(-tg * (zg + w[cand]))
+        d1 = np.bincount(cand, weights=s * tg * p, minlength=n)
+        d2 = np.bincount(cand, weights=s * p * (1.0 - p), minlength=n)
+        return d1, d2
+
+    B = ADD_WEIGHT_BOUND
+    lo, hi = np.full(n, -B), np.full(n, B)
+    at_hi = slopes(hi)[0] >= 0.0
+    at_lo = ~at_hi & (slopes(lo)[0] <= 0.0)
+    w = np.zeros(n)
+    open_ = ~(at_hi | at_lo)
+    for _ in range(_NEWTON_STEPS):
+        if not open_.any():
+            break
+        d1, d2 = slopes(w)
+        lo = np.where(d1 > 0.0, w, lo)
+        hi = np.where(d1 < 0.0, w, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = w + d1 / d2
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        step = np.where(d1 == 0.0, w, step)
+        moved = np.abs(step - w) > _NEWTON_TOL * (1.0 + np.abs(w))
+        w = np.where(open_, step, w)
+        open_ &= moved
+    w = np.where(at_hi, B, np.where(at_lo, -B, w))
+    change = s * (log_sigmoid(tg * (zg + w[cand])) - log_sigmoid(tg * zg))
+    gains = np.bincount(cand, weights=change, minlength=n) / tables.n_instances
+    return np.maximum(gains, 0.0)
+
+
+def mi_from_counts(n00, n01, n10, n11):
+    """Empirical MI of one 2x2 table in exact integer arithmetic and math.log."""
+    n = n00 + n01 + n10 + n11
+    cells = ((n00, n00 + n01, n00 + n10), (n01, n00 + n01, n01 + n11),
+             (n10, n10 + n11, n00 + n10), (n11, n10 + n11, n01 + n11))
+    mi = 0.0
+    for cell, row, col in cells:
+        if cell > 0:
+            mi += (cell / n) * math.log(cell * n / (row * col))
+    return max(mi, 0.0)

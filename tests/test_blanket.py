@@ -1,4 +1,7 @@
-"""Markov-blanket tables against the row-based reference evaluators.
+"""Markov-blanket tables against the row-based reference evaluators, and the
+integer-keyed grouping and the compacted Newton search against their slow
+exact references (void-key grouping, the full-width Newton loop), byte for
+byte.
 
 Tolerances are fixed from float64 rounding on at most a few hundred rows:
 1e-12 for PLL values, gradients and deletion deltas (all of order 1 per
@@ -23,7 +26,7 @@ from forced_pruning import (
 )
 from forced_pruning.blanket import BlanketTables, tables_for
 
-from conftest import random_dataset
+from conftest import full_width_gains, random_dataset, void_key_tables
 
 RTOL = 1e-12
 GAIN_ATOL = 1e-9
@@ -44,6 +47,43 @@ def models_and_data(draw, max_vars=6, max_rows=60):
     edge = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
     model = PairwiseModel(n_vars, np.array(node), edges, np.array(edge))
     return model, DataSet(np.array(bits, dtype=np.float64))
+
+
+@st.composite
+def wide_blankets(draw):
+    """A hub joined to 62, 63 or 64 others, so that its blanket key spans 63,
+    64 or 65 columns, over rows drawn from a few patterns (repeated groups)."""
+    width = draw(st.sampled_from([63, 64, 65]))
+    n_vars = width + draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    patterns = rng.random((draw(st.integers(1, 12)), n_vars)) < 0.5
+    X = patterns[rng.integers(patterns.shape[0], size=draw(st.integers(1, 60)))]
+    edges = [Edge(0, j) for j in range(1, width)]
+    edges += [e for e in complete_edges(n_vars) if e.lo > 0 and rng.random() < 0.05]
+    edges = tuple(sorted(set(edges)))
+    model = PairwiseModel(n_vars, rng.normal(size=n_vars), edges,
+                          rng.normal(0, 0.2, size=len(edges)))
+    return model, DataSet(X.astype(np.float64))
+
+
+def check_against_void_keys(model, ds):
+    tables = BlanketTables(ds, model.edges)
+    ref = void_key_tables(ds, model.edges)
+    for name, want in ref.items():
+        got = getattr(tables, "_inverse" if name == "inverse" else name)
+        if name == "inverse":
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    return tables
+
+
+def check_gains_against_full_width(model, ds, tables):
+    pool = [e for e in complete_edges(model.n_vars) if e not in set(model.edges)]
+    theta = model.weight_vector()
+    got = tables.addition_gains(theta, pool)
+    assert got.tobytes() == full_width_gains(tables, theta, pool).tobytes()
 
 
 def brent_gain(model, ds, e):
@@ -106,6 +146,28 @@ class TestAgainstRowReference:
     @given(models_and_data(max_vars=5, max_rows=40))
     def test_addition_gains_match_brent(self, case):
         check_additions(*case)
+
+
+class TestAgainstSlowExactPaths:
+    @settings(max_examples=100, deadline=None)
+    @given(models_and_data(max_vars=8, max_rows=80))
+    def test_grouping_and_gains(self, case):
+        tables = check_against_void_keys(*case)
+        check_gains_against_full_width(*case, tables)
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_blankets())
+    def test_blankets_of_63_64_and_65_columns(self, case):
+        tables = check_against_void_keys(*case)
+        check_gains_against_full_width(*case, tables)
+
+    def test_plants_sized_structure(self, rng):
+        # many open candidates over many Newton steps, as in the pruning loop
+        ds = random_dataset(rng, 40, 600, p=0.3)
+        pool = complete_edges(40)
+        edges = tuple(sorted(pool[i] for i in rng.choice(len(pool), 60, replace=False)))
+        model = PairwiseModel(40, rng.normal(size=40), edges, rng.normal(size=60))
+        check_gains_against_full_width(model, ds, check_against_void_keys(model, ds))
 
 
 class TestSpecialCases:

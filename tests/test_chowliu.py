@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forced_pruning import (
+    DataSet,
     Edge,
     chow_liu_tree,
     complete_edges,
@@ -15,7 +18,7 @@ from forced_pruning import (
     weighted_edges,
 )
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, mi_from_counts, random_dataset
 
 # MI of the 4-instance dataset {00, 00, 01, 11} over (x0, x1):
 # 0.5 ln(4/3) + 0.25 ln(2/3) + 0.25 ln 2
@@ -81,6 +84,24 @@ class TestMutualInformation:
         assert not M.diagonal().any()
         for i, j in complete_edges(5):
             assert M[i, j] == pytest.approx(mutual_information(ds, i, j), abs=1e-12)
+
+
+    # The fast path takes the log of each cell ratio with numpy, the reference
+    # with math.log; both ratios are exact, so the two differ by rounding only.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 12), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_matrix_matches_integer_reference(self, n_vars, n_patterns, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        patterns = rng.random((n_patterns, n_vars)) < rng.random(n_vars)
+        X = patterns[rng.integers(n_patterns, size=n_rows)].astype(int)
+        M = mutual_information_matrix(DataSet(X.astype(np.float64)))
+        for i, j in complete_edges(n_vars):
+            n11 = int((X[:, i] & X[:, j]).sum())
+            n10 = int(X[:, i].sum()) - n11
+            n01 = int(X[:, j].sum()) - n11
+            ref = mi_from_counts(n_rows - n11 - n10 - n01, n01, n10, n11)
+            assert M[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+            assert M[j, i] == M[i, j]
 
 
 class TestChowLiuTree:

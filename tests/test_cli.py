@@ -316,6 +316,45 @@ class TestRunSweep:
         ]) == 1
 
 
+class TestChowLiuOncePerTrainSplit:
+    """The tree depends on the train split alone: one MI computation per run."""
+
+    @pytest.fixture
+    def mi_calls(self, monkeypatch):
+        import forced_pruning.chowliu as chowliu
+
+        calls, owner = [], os.getpid()
+        real = chowliu.mutual_information_matrix
+
+        def counted(ds):
+            if os.getpid() != owner:
+                raise RuntimeError("pool worker recomputed the Chow-Liu tree")
+            calls.append(ds.name)
+            return real(ds)
+
+        monkeypatch.setattr(chowliu, "mutual_information_matrix", counted)
+        return calls
+
+    def test_apt_select_run(self, data_file, tmp_path, rng, mi_calls):
+        valid = write_data_file(tmp_path / "v.data", (rng.random((40, 4)) < 0.5).astype(int))
+        assert main(["--train", data_file, "--valid", valid, "--apt-select", "--exchange", "1",
+                     "--max-iter", "2", "--out-dir", str(tmp_path / "out")]) == 0
+        assert mi_calls == ["toy"]  # one computation serves the 4 fits
+
+    @pytest.mark.parametrize("jobs", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="the patched counter reaches pool workers only when they are forked")),
+    ])
+    def test_sweep(self, data_file, tmp_path, mi_calls, jobs):
+        out = tmp_path / "out"
+        assert main(["--train", data_file, "--sweep", "m=0,1;k=1;h=greedy,rejection",
+                     "--max-iter", "2", "--jobs", str(jobs), "--out-dir", str(out)]) == 0
+        assert {r["status"] for r in read_csv(out / "timings.csv")} == {"ok"}
+        assert mi_calls == ["toy"]
+
+
 class TestAptSelect:
     def test_selects_a_candidate_and_echoes_it(self, data_file, tmp_path, rng):
         valid = write_data_file(tmp_path / "v.data", (rng.random((40, 4)) < 0.5).astype(int))

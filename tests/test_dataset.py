@@ -1,15 +1,34 @@
 """Dataset loading, validation, and sufficient-statistics counts."""
 
+import concurrent.futures
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forced_pruning import DataSet, DatasetFormatError, load_dataset, marginal_count, pair_counts
+from forced_pruning import (
+    DataSet,
+    DatasetFormatError,
+    chow_liu_tree,
+    load_dataset,
+    marginal_count,
+    pair_counts,
+)
 from forced_pruning import dataset as dataset_mod
 from forced_pruning.dataset import _parse_canonical
 
-from conftest import make_dataset, write_data_file
+from conftest import make_dataset, random_dataset, write_data_file
+
+
+def _state_in_worker(ds):
+    """What a pool worker sees of a DataSet it was sent: the cached keys, the
+    writable flags of X and of the compressed arrays, and the tree."""
+    cached = sorted(ds._cache)
+    rows, weights = ds.compressed()
+    flags = [a.flags.writeable for a in (ds.X, rows, weights)]
+    return cached, flags, chow_liu_tree(ds)
 
 
 class TestLoadDataset:
@@ -159,6 +178,16 @@ class TestDataSetValidation:
     def test_array_is_read_only(self, toy_dataset):
         with pytest.raises(ValueError):
             toy_dataset.X[0, 0] = 1.0
+
+    def test_spawned_pool_worker_gets_read_only_arrays_and_the_cache(self, rng):
+        # under spawn the pool's arguments reach the worker by pickling
+        ds = random_dataset(rng, 5, 40)
+        ds.compressed()
+        tree = chow_liu_tree(ds)
+        with concurrent.futures.ProcessPoolExecutor(
+                1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            state = pool.submit(_state_in_worker, ds).result()
+        assert state == (["chow_liu_tree", "compressed"], [False] * 3, tree)
 
     def test_compressed_preserves_weighted_counts(self, toy_dataset):
         rows, weights = toy_dataset.compressed()

@@ -24,7 +24,7 @@ from forced_pruning import (
 )
 from forced_pruning.param_learn import _maximize
 
-from conftest import make_dataset, random_dataset, random_model
+from conftest import make_dataset, quantize_reference, random_dataset, random_model
 
 TIGHT = FitOptions(gradient_tolerance=1e-8)
 LN3 = math.log(3.0)
@@ -145,6 +145,28 @@ class TestQuantizeParams:
         x = np.array(values)
         got = tying_objective(x, quantize_params(x, c))
         assert got <= exhaustive_best_sse(x, c) + 1e-9
+
+    # values from a few levels give ties in both the values and the split costs
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]), min_size=1, max_size=40),
+        st.lists(st.floats(-30, 30), min_size=1, max_size=40),
+    ), st.data())
+    def test_matches_scalar_dp_byte_for_byte(self, values, data):
+        c = data.draw(st.integers(1, len(values)))
+        p = quantize_params(np.array(values), c)
+        assignment, means = quantize_reference(values, c)
+        assert p.assignment.tobytes() == assignment.tobytes()
+        assert p.means.tobytes() == means.tobytes()
+
+    def test_matches_scalar_dp_on_fitted_sized_vectors(self, rng):
+        # the plants-shaped Chow-Liu model has 137 weights and 16 clusters
+        for n, c in ((137, 16), (200, 32), (60, 60), (60, 1)):
+            x = np.round(rng.normal(size=n), 2)
+            p = quantize_params(x, c)
+            assignment, means = quantize_reference(x, c)
+            assert p.assignment.tobytes() == assignment.tobytes()
+            assert p.means.tobytes() == means.tobytes()
 
 
 class TestMpleFit:
