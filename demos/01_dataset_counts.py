@@ -1,8 +1,8 @@
-"""Load a binary dataset and inspect the sufficient statistics.
+"""Load a binary dataset and inspect its sufficient statistics.
 
 Writes a tiny comma-separated data file, loads it, and prints the
-deduplicated view plus the single and pairwise counts that every
-fitting routine in the package consumes.
+deduplicated view, the single-variable counts taken from it, and the
+pairwise mutual information that the Chow-Liu initializer ranks edges by.
 """
 
 import os
@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 
-from forced_pruning import DataSet, load_dataset, marginal_count, pair_counts
+from forced_pruning import DataSet, load_dataset, mutual_information_matrix
 
 rng = np.random.default_rng(0)
 
@@ -34,16 +34,18 @@ rows, weights = data.compressed()
 print(f"deduplicated to {rows.shape[0]} distinct rows; "
       f"largest weight {int(weights.max())}")
 
+# Weighted sums over the distinct rows equal sums over all instances.
+ones = weights @ rows
+both = (rows * weights[:, None]).T @ rows
 print("\nmarginal counts (times each variable is 1):")
 for i in range(data.n_vars):
-    print(f"  x{i}: {int(marginal_count(data, i))}")
+    print(f"  x{i}: {int(ones[i])}")
 
-print("\njoint counts n11 (times both variables are 1):")
+print("\njoint counts n11 (times both variables are 1) and mutual information:")
+mi = mutual_information_matrix(data)
 for i in range(data.n_vars):
     for j in range(i + 1, data.n_vars):
-        c = pair_counts(data, i, j)
-        print(f"  x{i},x{j}: n11={c.n11:3d}  n10={c.n10:3d}  "
-              f"n01={c.n01:3d}  n00={c.n00:3d}")
+        print(f"  x{i},x{j}: n11={int(both[i, j]):3d}  MI={mi[i, j]:.4f} nats")
 
 # The same array can be wrapped directly without touching disk.
 direct = DataSet(X, name="in-memory")

@@ -7,14 +7,15 @@ data.
 """
 
 import numpy as np
+from scipy.special import expit
 
 from forced_pruning import (
     DataSet,
     Edge,
     PairwiseModel,
-    conditional_prob,
+    logits,
     pll,
-    pll_delta_without_edge,
+    pll_without_edges,
 )
 
 # x0 and x1 agree in three of four rows; x2 is on its own.
@@ -32,15 +33,16 @@ model = PairwiseModel(
     edge_weights=np.array([1.5]),
 )
 
-# With x0 = 1 the conditional logit of x1 is -0.1 + 1.5.
-p = conditional_prob(model, np.array([1.0, 0.0, 0.0]), 1)
+# With x0 = 1 the conditional logit of x1 is -0.1 + 1.5. logits() gives the
+# log-odds of every variable given the rest, for each row of its input.
+p = expit(logits(model, np.array([[1.0, 0.0, 0.0]])))[0, 1]
 expected = 1.0 / (1.0 + np.exp(-(-0.1 + 1.5)))
 print(f"P(x1=1 | x0=1, x2=0) = {p:.6f} (closed form {expected:.6f})")
 
 print(f"\nmean PLL with the coupling edge: {pll(model, data):+.6f}")
 
 # Zeroing the edge costs PLL because the data really is correlated.
-delta = pll_delta_without_edge(model, data, Edge(0, 1))
+delta = pll(model, data) - pll_without_edges(model, data, [Edge(0, 1)])
 print(f"PLL lost if the edge were removed: {delta:.6f}")
 
 flipped = model.with_weights(model.weight_vector() * [1, 1, 1, -1])

@@ -23,20 +23,15 @@ from .cli import (
 from .dataset import (
     DataSet,
     DatasetFormatError,
-    PairCounts,
     load_dataset,
-    marginal_count,
-    pair_counts,
 )
 from .model import (
     Edge,
     PairwiseModel,
     canonical_edge,
     complete_edges,
-    conditional_prob,
     logits,
     pll,
-    pll_delta_without_edge,
     pll_gradient,
     pll_without_edges,
 )
@@ -68,18 +63,13 @@ __version__ = "0.1.0"
 __all__ = [
     "DataSet",
     "DatasetFormatError",
-    "PairCounts",
     "load_dataset",
-    "marginal_count",
-    "pair_counts",
     "Edge",
     "PairwiseModel",
     "canonical_edge",
     "complete_edges",
-    "conditional_prob",
     "logits",
     "pll",
-    "pll_delta_without_edge",
     "pll_gradient",
     "pll_without_edges",
     "WeightedEdge",

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataSet, pair_counts
+from .dataset import DataSet
 from .model import Edge
 
 
@@ -29,8 +29,12 @@ def _mi_of_tables(n00, n01, n10, n11) -> np.ndarray:
 
 def mutual_information(ds: DataSet, i: int, j: int) -> float:
     """MI of the empirical joint of (X_i, X_j), in nats. Symmetric in (i, j)."""
-    c = pair_counts(ds, min(i, j), max(i, j))
-    return float(_mi_of_tables(*np.array(c, dtype=np.float64)))
+    for v in (i, j):
+        if not 0 <= v < ds.n_vars:
+            raise IndexError(f"variable index {v} out of range [0, {ds.n_vars})")
+    if i == j:
+        raise ValueError(f"pair requires two distinct variables, got ({i}, {j})")
+    return float(mutual_information_matrix(ds)[i, j])
 
 
 def mutual_information_matrix(ds: DataSet) -> np.ndarray:

@@ -30,7 +30,6 @@ from .structure import HEURISTICS, PruningConfig, PruningResult, forced_pruning
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_HEADER = "pairwise-model v1"
-SPLITS = ("train", "valid", "test")
 APT_SELECT_CHOICES = (4, 8, 16, 32)
 
 
@@ -220,6 +219,7 @@ def _eval_splits(model: PairwiseModel, splits: dict[str, DataSet]) -> dict[str, 
 
 
 def _load_splits(args) -> dict[str, DataSet]:
+    """The splits given, in train, valid, test order."""
     splits = {"train": load_dataset(args.train)}
     if args.valid:
         splits["valid"] = load_dataset(args.valid)
@@ -310,30 +310,32 @@ def run_single(args) -> int:
     )
     echo = _config_echo(args, name)
     echo["apt_clusters"] = clusters
-    present = tuple(s for s in SPLITS if s in splits)
-    report = ExperimentReport(dataset=name, config=echo, splits=present, cells=[cell])
+    report = ExperimentReport(dataset=name, config=echo, splits=tuple(splits), cells=[cell])
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    _write_report(args.out_dir, report)
     save_model(os.path.join(args.out_dir, "model.txt"), result.model, result.partition)
     _write_iteration_log(os.path.join(args.out_dir, "iterations.jsonl"), result)
-    _write(os.path.join(args.out_dir, "report.csv"), report.csv_text())
-    _write(os.path.join(args.out_dir, "timings.csv"), report.timings_csv_text())
-    _write(os.path.join(args.out_dir, "config.json"), json.dumps(echo, indent=2, sort_keys=True) + "\n")
-    eval_split = "test" if "test" in splits else "valid" if "valid" in splits else "train"
-    _write(os.path.join(args.out_dir, "report.txt"), report.table_text(eval_split))
 
-    for split in SPLITS:
-        if split in cell.neg_pll:
-            print(f"{name} {args.heuristic} m={args.extra_edges} k={args.exchange} "
-                  f"{split} neg PLL {cell.neg_pll[split]:.4f}")
+    for split, value in cell.neg_pll.items():
+        print(f"{name} {args.heuristic} m={args.extra_edges} k={args.exchange} "
+              f"{split} neg PLL {value:.4f}")
     print(f"model written to {os.path.join(args.out_dir, 'model.txt')} "
           f"(best iteration {result.best_iteration}, {seconds:.1f}s)")
     return 0
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(text)
+def _write_report(out_dir: str, report: ExperimentReport) -> str:
+    """Write the report files of a run; return its table, on the last split present."""
+    os.makedirs(out_dir, exist_ok=True)
+    table = report.table_text(report.splits[-1])
+    for name, text in (
+            ("report.csv", report.csv_text()),
+            ("timings.csv", report.timings_csv_text()),
+            ("config.json", json.dumps(report.config, indent=2, sort_keys=True) + "\n"),
+            ("report.txt", table)):
+        with open(os.path.join(out_dir, name), "w", encoding="ascii") as f:
+            f.write(text)
+    return table
 
 
 def parse_sweep(spec: str) -> tuple[list[int], list[int], list[str] | None]:
@@ -414,8 +416,7 @@ def run_sweep(args) -> int:
     for h, m, k in grid:
         seed = cell_seed(args.seed, h, m, k)
         cells_cfg.append((h, m, k, seed, _cell_config(args, m, k, h, seed)))
-    present = tuple(s for s in SPLITS if s in splits)
-    report = ExperimentReport(dataset=name, config=_config_echo(args, name), splits=present)
+    report = ExperimentReport(dataset=name, config=_config_echo(args, name), splits=tuple(splits))
 
     def finish(h, m, k, seed, outcome, error=None):
         if error is not None:
@@ -447,15 +448,7 @@ def run_sweep(args) -> int:
             except Exception as exc:
                 finish(h, m, k, seed, None, error=exc)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write(os.path.join(args.out_dir, "report.csv"), report.csv_text())
-    _write(os.path.join(args.out_dir, "timings.csv"), report.timings_csv_text())
-    _write(os.path.join(args.out_dir, "config.json"),
-           json.dumps(report.config, indent=2, sort_keys=True) + "\n")
-    eval_split = "test" if args.test else "valid" if args.valid else "train"
-    table = report.table_text(eval_split)
-    _write(os.path.join(args.out_dir, "report.txt"), table)
-    print(table, end="")
+    print(_write_report(args.out_dir, report), end="")
 
     failed = [c for c in report.cells if c.failed]
     if failed:

@@ -1,4 +1,4 @@
-"""Binary datasets and their empirical counts.
+"""Binary datasets: loading, validation and the deduplicated rows.
 
 Datasets are plain text, one instance per line, 0/1 tokens separated by
 commas (the distribution format of the standard density-estimation
@@ -11,29 +11,12 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 
 class DatasetFormatError(ValueError):
     """A dataset file violates the expected text format."""
-
-
-class PairCounts(NamedTuple):
-    """Joint occurrence counts for one ordered variable pair (i, j).
-
-    ``nab`` counts instances with x_i = a and x_j = b.
-    """
-
-    n00: int
-    n01: int
-    n10: int
-    n11: int
-
-    @property
-    def total(self) -> int:
-        return self.n00 + self.n01 + self.n10 + self.n11
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,29 +188,3 @@ def _line_error(path: str, lineno: int, line: str, sep: str | None, message: str
     if mixed:
         message = "mixes comma and whitespace separators"
     return DatasetFormatError(f"{path}: line {lineno}: {message}")
-
-
-def _check_index(ds: DataSet, i: int) -> None:
-    if not 0 <= i < ds.n_vars:
-        raise IndexError(f"variable index {i} out of range [0, {ds.n_vars})")
-
-
-def pair_counts(ds: DataSet, i: int, j: int) -> PairCounts:
-    """Exact joint counts of (x_i, x_j) over all instances."""
-    _check_index(ds, i)
-    _check_index(ds, j)
-    if i == j:
-        raise ValueError(f"pair requires two distinct variables, got ({i}, {j})")
-    xi = ds.X[:, i]
-    xj = ds.X[:, j]
-    n11 = int(xi @ xj)
-    n10 = int(xi.sum()) - n11
-    n01 = int(xj.sum()) - n11
-    n00 = ds.n_instances - n11 - n10 - n01
-    return PairCounts(n00=n00, n01=n01, n10=n10, n11=n11)
-
-
-def marginal_count(ds: DataSet, i: int) -> int:
-    """Number of instances with x_i = 1."""
-    _check_index(ds, i)
-    return int(ds.X[:, i].sum())

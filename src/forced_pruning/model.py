@@ -102,16 +102,6 @@ class PairwiseModel:
             raise ValueError(f"expected {self.n_params} weights, got {vec.shape}")
         return PairwiseModel(self.n_vars, vec[: self.n_vars], self.edges, vec[self.n_vars :])
 
-    def edge_weight(self, e: Edge) -> float:
-        idx = self.edge_index(e)
-        return float(self.edge_weights[idx])
-
-    def edge_index(self, e: Edge) -> int:
-        try:
-            return self.edges.index(Edge(*e))
-        except ValueError:
-            raise ValueError(f"edge {tuple(e)} is not active") from None
-
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric (n_vars, n_vars) edge-weight matrix, zero diagonal."""
         W = np.zeros((self.n_vars, self.n_vars))
@@ -134,24 +124,6 @@ def logits(model: PairwiseModel, X: np.ndarray) -> np.ndarray:
     Entry (n, i) is the log-odds of X_i = 1 given the rest of row n.
     """
     return X @ model.weight_matrix() + model.node_weights
-
-
-def conditional_prob(model: PairwiseModel, x: np.ndarray, i: int) -> float:
-    """P(X_i = 1 | rest of x) under the model."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_vars,):
-        raise ValueError(f"x must have length {model.n_vars}, got shape {x.shape}")
-    if not ((x == 0.0) | (x == 1.0)).all():
-        raise ValueError("x entries must be 0 or 1")
-    if not 0 <= i < model.n_vars:
-        raise IndexError(f"variable index {i} out of range [0, {model.n_vars})")
-    z = model.node_weights[i]
-    for (lo, hi), w in zip(model.edges, model.edge_weights):
-        if lo == i:
-            z += w * x[hi]
-        elif hi == i:
-            z += w * x[lo]
-    return float(expit(z))
 
 
 def _log_conditionals(X: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -187,15 +159,9 @@ def pll_gradient(model: PairwiseModel, ds: DataSet) -> np.ndarray:
 
 def pll_without_edges(model: PairwiseModel, ds: DataSet, drop: Iterable[Edge]) -> float:
     """PLL of the model with the weights of ``drop`` set to zero."""
-    vec = model.weight_vector()
-    for e in drop:
-        vec[model.n_vars + model.edge_index(e)] = 0.0
-    return pll(model.with_weights(vec), ds)
-
-
-def pll_delta_without_edge(model: PairwiseModel, ds: DataSet, e: Edge) -> float:
-    """pll(model) - pll(model with the weight of ``e`` zeroed).
-
-    Positive when the edge helps; exactly 0.0 for an edge of weight 0.
-    """
-    return pll(model, ds) - pll_without_edges(model, ds, [e])
+    drop = {Edge(*e) for e in drop}
+    inactive = drop.difference(model.edges)
+    if inactive:
+        raise ValueError(f"edge {tuple(min(inactive))} is not active")
+    kept = np.where([e not in drop for e in model.edges], model.edge_weights, 0.0)
+    return pll(model.with_weights(np.concatenate([model.node_weights, kept])), ds)

@@ -21,7 +21,7 @@ import numpy as np
 from .blanket import BlanketTables, tables_for
 from .chowliu import chow_liu_tree
 from .dataset import DataSet
-from .model import Edge, PairwiseModel, complete_edges
+from .model import Edge, PairwiseModel, canonical_edge, complete_edges
 from .param_learn import FitOptions, TyingPartition, learn_params_with_apt
 
 logger = logging.getLogger(__name__)
@@ -185,16 +185,24 @@ def greedy_add(
     of pll(model + candidate at w) - pll(model), all existing weights
     frozen. Gains are >= 0 because w = 0 recovers the unmodified model.
     Returns (edge, gain) pairs sorted by descending gain, ties lexicographic.
+    Candidates are canonicalized; an active, repeated or out-of-range one is
+    a ValueError.
     """
-    candidates = sorted(Edge(*e) for e in candidates)
+    active, pool = set(model.edges), set()
+    for e in candidates:
+        c = canonical_edge(*e)
+        if c.lo < 0 or c.hi >= model.n_vars:
+            raise ValueError(f"candidate {tuple(e)} is out of range for {model.n_vars} variables")
+        if c in active:
+            raise ValueError(f"candidate {tuple(e)} is already active")
+        if c in pool:
+            raise ValueError(f"duplicate candidate {tuple(e)}")
+        pool.add(c)
+    candidates = sorted(pool)
     if not 0 <= k <= len(candidates):
         raise ValueError(f"k must be in [0, {len(candidates)}], got {k}")
     if k == 0:
         return []
-    active = set(model.edges)
-    for e in candidates:
-        if e in active:
-            raise ValueError(f"candidate {tuple(e)} is already active")
     gains = tables_for(model, ds, tables).addition_gains(model.weight_vector(), candidates)
     scored = sorted(zip(candidates, gains.tolist()), key=lambda s: (-s[1], s[0]))
     return scored[:k]

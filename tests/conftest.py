@@ -254,6 +254,26 @@ def full_width_gains(tables, theta, candidates):
     return np.maximum(gains, 0.0)
 
 
+def conditional_prob_reference(model, x, i):
+    """P(X_i = 1 | rest of x) by a loop over the model's edges."""
+    z = model.node_weights[i]
+    for (lo, hi), w in zip(model.edges, model.edge_weights):
+        if lo == i:
+            z += w * x[hi]
+        elif hi == i:
+            z += w * x[lo]
+    return 1.0 / (1.0 + math.exp(-z))
+
+
+def pair_table(X, i, j):
+    """Exact 2x2 counts (n00, n01, n10, n11) of columns i and j of a 0/1 array."""
+    X = np.asarray(X, dtype=int)
+    xi, xj = X[:, i], X[:, j]
+    n11 = int((xi & xj).sum())
+    n10, n01 = int(xi.sum()) - n11, int(xj.sum()) - n11
+    return len(xi) - n11 - n10 - n01, n01, n10, n11
+
+
 def mi_from_counts(n00, n01, n10, n11):
     """Empirical MI of one 2x2 table in exact integer arithmetic and math.log."""
     n = n00 + n01 + n10 + n11

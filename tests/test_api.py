@@ -1,0 +1,82 @@
+"""The public names of the package: pinned, resolvable, and all imported."""
+
+import ast
+import os
+
+import forced_pruning
+
+from conftest import REPO_ROOT
+
+PUBLIC = [
+    "DataSet",
+    "DatasetFormatError",
+    "Edge",
+    "EdgeScore",
+    "ExperimentReport",
+    "FitError",
+    "FitOptions",
+    "IterationRecord",
+    "ModelFormatError",
+    "PairwiseModel",
+    "PruningConfig",
+    "PruningResult",
+    "RejectionOutcome",
+    "TyingPartition",
+    "WeightedEdge",
+    "__version__",
+    "canonical_edge",
+    "chow_liu_tree",
+    "complete_edges",
+    "edge_deletion_scores",
+    "forced_pruning",
+    "greedy_add",
+    "greedy_delete",
+    "learn_params_with_apt",
+    "load_dataset",
+    "load_model",
+    "logits",
+    "main",
+    "mple_fit",
+    "mutual_information",
+    "mutual_information_matrix",
+    "pll",
+    "pll_gradient",
+    "pll_without_edges",
+    "quantize_params",
+    "rejection_sample_delete",
+    "save_model",
+    "tied_fit",
+    "tying_objective",
+    "weighted_edges",
+]
+
+
+def _init_bindings():
+    """Names that ``__init__.py`` imports from its submodules or assigns."""
+    path = os.path.join(REPO_ROOT, "src", "forced_pruning", "__init__.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if t.id != "__all__"]
+    return names
+
+
+def test_public_names_are_pinned():
+    assert PUBLIC == sorted(PUBLIC)
+    assert sorted(forced_pruning.__all__) == PUBLIC
+    assert len(set(forced_pruning.__all__)) == len(forced_pruning.__all__)
+
+
+def test_every_public_name_resolves():
+    for name in forced_pruning.__all__:
+        assert getattr(forced_pruning, name) is not None, name
+
+
+def test_all_matches_the_imports():
+    bindings = _init_bindings()
+    assert len(set(bindings)) == len(bindings)
+    assert sorted(bindings) == sorted(forced_pruning.__all__)

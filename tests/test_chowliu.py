@@ -18,7 +18,7 @@ from forced_pruning import (
     weighted_edges,
 )
 
-from conftest import make_dataset, mi_from_counts, random_dataset
+from conftest import make_dataset, mi_from_counts, pair_table, random_dataset
 
 # MI of the 4-instance dataset {00, 00, 01, 11} over (x0, x1):
 # 0.5 ln(4/3) + 0.25 ln(2/3) + 0.25 ln 2
@@ -83,7 +83,9 @@ class TestMutualInformation:
         np.testing.assert_array_equal(M, M.T)
         assert not M.diagonal().any()
         for i, j in complete_edges(5):
-            assert M[i, j] == pytest.approx(mutual_information(ds, i, j), abs=1e-12)
+            ref = mi_from_counts(*pair_table(ds.X, i, j))
+            assert M[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+            assert mutual_information(ds, i, j) == mutual_information(ds, j, i) == M[i, j]
 
 
     # The fast path takes the log of each cell ratio with numpy, the reference
@@ -96,10 +98,7 @@ class TestMutualInformation:
         X = patterns[rng.integers(n_patterns, size=n_rows)].astype(int)
         M = mutual_information_matrix(DataSet(X.astype(np.float64)))
         for i, j in complete_edges(n_vars):
-            n11 = int((X[:, i] & X[:, j]).sum())
-            n10 = int(X[:, i].sum()) - n11
-            n01 = int(X[:, j].sum()) - n11
-            ref = mi_from_counts(n_rows - n11 - n10 - n01, n01, n10, n11)
+            ref = mi_from_counts(*pair_table(X, i, j))
             assert M[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-14)
             assert M[j, i] == M[i, j]
 

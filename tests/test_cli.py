@@ -65,7 +65,7 @@ class TestModelFile:
             "pairwise-model v1\nn_vars 2\nnodes 0.5 -0.25\nedges 1\n0 1 1.5\n")
         model, part = load_model(path)
         assert model.edges == (Edge(0, 1),)
-        assert model.edge_weight(Edge(0, 1)) == 1.5
+        assert model.edge_weights.tolist() == [1.5]
         assert part is None
 
     def test_version_mismatch(self, tmp_path):

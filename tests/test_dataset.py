@@ -1,6 +1,7 @@
-"""Dataset loading, validation, and sufficient-statistics counts."""
+"""Dataset loading, validation, compression, and the counts behind the MI."""
 
 import concurrent.futures
+import math
 import multiprocessing
 
 import numpy as np
@@ -13,13 +14,13 @@ from forced_pruning import (
     DatasetFormatError,
     chow_liu_tree,
     load_dataset,
-    marginal_count,
-    pair_counts,
+    mutual_information,
+    mutual_information_matrix,
 )
 from forced_pruning import dataset as dataset_mod
 from forced_pruning.dataset import _parse_canonical
 
-from conftest import make_dataset, random_dataset, write_data_file
+from conftest import make_dataset, mi_from_counts, pair_table, random_dataset, write_data_file
 
 
 def _state_in_worker(ds):
@@ -218,33 +219,48 @@ class TestDataSetValidation:
 
 
 class TestCounts:
+    """The 2x2 pair counts and the marginal counts of the data, seen through
+    the mutual information that is computed from them."""
+
     def test_pair_counts_by_hand(self):
         ds = make_dataset(["00", "01", "10", "11", "11"])
-        c = pair_counts(ds, 0, 1)
-        assert (c.n00, c.n01, c.n10, c.n11) == (1, 1, 1, 2)
-        assert c.total == 5
+        assert pair_table(ds.X, 0, 1) == (1, 1, 1, 2)
+        assert mutual_information(ds, 0, 1) == pytest.approx(
+            mi_from_counts(1, 1, 1, 2), rel=1e-12, abs=1e-14)
 
     def test_pair_counts_symmetric(self, toy_dataset):
-        a = pair_counts(toy_dataset, 0, 2)
-        b = pair_counts(toy_dataset, 2, 0)
-        assert a.n11 == b.n11 and a.n00 == b.n00
-        assert a.n01 == b.n10 and a.n10 == b.n01
+        # swapping the variables transposes the table; the MI is unchanged
+        n00, n01, n10, n11 = pair_table(toy_dataset.X, 0, 2)
+        assert pair_table(toy_dataset.X, 2, 0) == (n00, n10, n01, n11)
+        assert mutual_information(toy_dataset, 0, 2) == mutual_information(toy_dataset, 2, 0)
+        M = mutual_information_matrix(toy_dataset)
+        np.testing.assert_array_equal(M, M.T)
 
     def test_pair_counts_rejects_same_variable(self, toy_dataset):
-        with pytest.raises(ValueError):
-            pair_counts(toy_dataset, 1, 1)
+        with pytest.raises(ValueError, match="distinct"):
+            mutual_information(toy_dataset, 1, 1)
 
     def test_pair_counts_rejects_out_of_range(self, toy_dataset):
-        with pytest.raises(IndexError):
-            pair_counts(toy_dataset, 0, 99)
+        # a plain lookup in the MI matrix would wrap the negative indices
+        for i, j in ((0, 99), (99, 0), (-1, 0), (0, -1), (-4, 0)):
+            with pytest.raises(IndexError, match="out of range"):
+                mutual_information(toy_dataset, i, j)
 
-    def test_marginal_count(self, toy_dataset):
-        assert marginal_count(toy_dataset, 0) == int(toy_dataset.X[:, 0].sum())
+    def test_marginal_count(self):
+        # a column and its copy share all information: the entropy of the
+        # column, which depends on the data only through its marginal count, 3 of 5
+        ds = make_dataset(["110", "111", "000", "110", "001"])
+        p = 3 / 5
+        entropy = -(p * math.log(p) + (1 - p) * math.log(1 - p))
+        assert mutual_information(ds, 0, 1) == pytest.approx(entropy, rel=1e-12)
+        assert mutual_information(ds, 0, 2) < entropy
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_pair_counts_sum_to_total(self, seed):
         rng = np.random.default_rng(seed)
         ds = DataSet((rng.random((40, 4)) < 0.4).astype(float))
-        c = pair_counts(ds, 1, 3)
-        assert c.n00 + c.n01 + c.n10 + c.n11 == c.total == 40
+        table = pair_table(ds.X, 1, 3)
+        assert sum(table) == 40
+        assert mutual_information(ds, 1, 3) == pytest.approx(
+            mi_from_counts(*table), rel=1e-12, abs=1e-14)

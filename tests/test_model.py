@@ -1,4 +1,4 @@
-"""Model construction, conditionals, PLL, gradient, and edge-drop deltas."""
+"""Model construction, conditional logits, PLL, gradient, and edge-drop deltas."""
 
 import math
 
@@ -13,15 +13,16 @@ from forced_pruning import (
     PairwiseModel,
     canonical_edge,
     complete_edges,
-    conditional_prob,
+    edge_deletion_scores,
+    logits,
     pll,
-    pll_delta_without_edge,
     pll_gradient,
     pll_without_edges,
 )
-from forced_pruning.model import logits
+from scipy.special import expit
 
-from conftest import fd_gradient, make_dataset, random_dataset, random_model
+from conftest import (
+    conditional_prob_reference, fd_gradient, make_dataset, random_dataset, random_model)
 
 SIGMOID_2 = 0.8807970779778823  # sigma(2)
 SIGMOID_1 = 0.7310585786300049  # sigma(1)
@@ -71,10 +72,10 @@ class TestPairwiseModel:
         np.testing.assert_array_equal(m.with_weights(vec).weight_vector(), vec)
 
     def test_edge_weight_lookup(self):
-        m = PairwiseModel(3, np.zeros(3), (Edge(0, 1), Edge(1, 2)), np.array([0.5, -1.5]))
-        assert m.edge_weight(Edge(1, 2)) == -1.5
-        with pytest.raises(ValueError, match="not active"):
-            m.edge_weight(Edge(0, 2))
+        m = PairwiseModel(3, np.zeros(3), [(1, 2), (0, 1)], np.array([0.5, -1.5]))
+        assert dict(zip(m.edges, m.edge_weights.tolist())) == {Edge(1, 2): 0.5, Edge(0, 1): -1.5}
+        assert all(type(e) is Edge for e in m.edges)
+        assert m.weight_matrix()[2, 1] == 0.5
 
     def test_weight_matrix_symmetric(self, rng):
         m = random_model(rng, 5, 4)
@@ -86,23 +87,22 @@ class TestPairwiseModel:
 class TestConditionals:
     def test_isolated_node_uses_its_weight_only(self):
         m = PairwiseModel(2, np.array([2.0, 0.0]), (), np.zeros(0))
-        assert conditional_prob(m, np.array([0.0, 1.0]), 0) == pytest.approx(SIGMOID_2)
-        assert conditional_prob(m, np.array([0.0, 1.0]), 1) == pytest.approx(0.5)
+        p = expit(logits(m, np.array([[0.0, 1.0], [1.0, 0.0]])))
+        np.testing.assert_allclose(p, [[SIGMOID_2, 0.5], [SIGMOID_2, 0.5]], rtol=1e-15)
 
     def test_edge_contributes_when_neighbor_is_one(self):
         m = PairwiseModel(2, np.zeros(2), (Edge(0, 1),), np.array([1.0]))
-        assert conditional_prob(m, np.array([0.0, 1.0]), 0) == pytest.approx(SIGMOID_1)
-        assert conditional_prob(m, np.array([0.0, 0.0]), 0) == pytest.approx(0.5)
+        p = expit(logits(m, np.array([[0.0, 1.0], [0.0, 0.0]])))
+        np.testing.assert_allclose(p, [[SIGMOID_1, 0.5], [0.5, 0.5]], rtol=1e-15)
 
     def test_logits_matrix_matches_scalar_conditionals(self, rng):
         m = random_model(rng, 4, 4)
         ds = random_dataset(rng, 4, 12)
         A = logits(m, ds.X)
-        from scipy.special import expit
         for n in range(ds.n_instances):
             for i in range(4):
                 assert expit(A[n, i]) == pytest.approx(
-                    conditional_prob(m, ds.X[n], i), abs=1e-12)
+                    conditional_prob_reference(m, ds.X[n], i), abs=1e-12)
 
 
 class TestPll:
@@ -168,31 +168,48 @@ class TestEdgeDrop:
         m = random_model(rng, 5, 6)
         ds = random_dataset(rng, 5, 30)
         drop = list(m.edges[:2])
-        keep = [e for e in m.edges if e not in drop]
-        rebuilt = PairwiseModel(
-            5, m.node_weights, tuple(keep),
-            np.array([m.edge_weight(e) for e in keep]))
-        assert pll_without_edges(m, ds, drop) == pytest.approx(pll(rebuilt, ds), abs=1e-12)
+        assert pll_without_edges(m, ds, drop) == pytest.approx(
+            pll(rebuilt_without(m, drop), ds), abs=1e-12)
 
     def test_without_no_edges_is_identity(self, rng):
         m = random_model(rng, 4, 3)
         ds = random_dataset(rng, 4, 25)
         assert pll_without_edges(m, ds, []) == pytest.approx(pll(m, ds), abs=1e-15)
 
+    def test_repeated_edge_is_zeroed_once(self, rng):
+        m = random_model(rng, 5, 6)
+        ds = random_dataset(rng, 5, 30)
+        e, f = m.edges[:2]
+        assert pll_without_edges(m, ds, [e, e]) == pll_without_edges(m, ds, [e])
+        assert pll_without_edges(m, ds, iter([f, e, f])) == pll_without_edges(m, ds, [e, f])
+
     def test_delta_matches_full_recompute(self, rng):
+        # the deletion delta pll - pll_without_edges, against a model rebuilt
+        # without the edge and against the tables' deletion scores
         m = random_model(rng, 6, 8)
         ds = random_dataset(rng, 6, 40)
+        scores = dict(edge_deletion_scores(m, ds))
         for e in m.edges:
-            expected = pll(m, ds) - pll_without_edges(m, ds, [e])
-            assert pll_delta_without_edge(m, ds, e) == pytest.approx(expected, abs=1e-12)
+            delta = pll(m, ds) - pll_without_edges(m, ds, [e])
+            assert delta == pytest.approx(pll(m, ds) - pll(rebuilt_without(m, [e]), ds), abs=1e-12)
+            assert scores[e] == pytest.approx(delta, abs=1e-12)
 
     def test_delta_of_zero_weight_edge_is_zero(self, rng):
         ds = random_dataset(rng, 3, 20)
         m = PairwiseModel(3, rng.normal(size=3), (Edge(0, 1),), np.array([0.0]))
-        assert pll_delta_without_edge(m, ds, Edge(0, 1)) == 0.0
+        assert pll(m, ds) - pll_without_edges(m, ds, [Edge(0, 1)]) == 0.0
+        assert dict(edge_deletion_scores(m, ds))[Edge(0, 1)] == 0.0
 
     def test_delta_rejects_inactive_edge(self, rng):
         ds = random_dataset(rng, 3, 10)
         m = PairwiseModel.zeros(3, [Edge(0, 1)])
-        with pytest.raises(ValueError, match="not active"):
-            pll_delta_without_edge(m, ds, Edge(0, 2))
+        for drop in ([Edge(0, 2)], [Edge(0, 1), (0, 2)], [(1, 0)]):
+            with pytest.raises(ValueError, match="not active"):
+                pll_without_edges(m, ds, drop)
+
+
+def rebuilt_without(model, drop):
+    """The model with the edges of ``drop`` removed from its structure."""
+    kept = [(e, w) for e, w in zip(model.edges, model.edge_weights) if e not in drop]
+    return PairwiseModel(model.n_vars, model.node_weights,
+                         tuple(e for e, _ in kept), np.array([w for _, w in kept]))

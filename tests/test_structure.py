@@ -1,5 +1,7 @@
 """Edge scoring, deletion heuristics, greedy addition, and the full loop."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from forced_pruning import (
     learn_params_with_apt,
     mple_fit,
     pll,
-    pll_delta_without_edge,
     pll_without_edges,
     rejection_sample_delete,
 )
@@ -166,6 +167,21 @@ class TestGreedyAdd:
         ds = random_dataset(rng, 3, 10)
         with pytest.raises(ValueError, match="already active"):
             greedy_add(model, ds, list(model.edges), 1)
+
+    def test_canonicalizes_and_validates_candidates(self, rng):
+        model = PairwiseModel(4, np.zeros(4), (Edge(0, 1),), np.array([0.8]))
+        ds = random_dataset(rng, 4, 30)
+        with pytest.raises(ValueError, match=r"\(1, 0\) is already active"):
+            greedy_add(model, ds, [(1, 0)], 1)
+        for pair in ([(2, 3), (2, 3)], [(2, 3), (3, 2)]):
+            with pytest.raises(ValueError, match=re.escape(f"duplicate candidate {pair[1]}")):
+                greedy_add(model, ds, pair, 2)
+        for bad in ((0, 9), (-1, 2)):
+            with pytest.raises(ValueError, match=re.escape(f"candidate {bad} is out of range")):
+                greedy_add(model, ds, [(2, 3), bad], 1)
+        reversed_out = greedy_add(model, ds, [(3, 2), (2, 0)], 2)
+        assert reversed_out == greedy_add(model, ds, [Edge(0, 2), Edge(2, 3)], 2)
+        assert all(type(e) is Edge for e, _ in reversed_out)
 
     def test_rejects_k_too_large(self, rng):
         model = random_model(rng, 3, 1)
