@@ -20,6 +20,7 @@ results do not depend on BLAS threading.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from typing import Sequence
 
@@ -233,12 +234,13 @@ class BlanketTables:
         return np.maximum(gains, 0.0)
 
 
-def tables_for(model, ds: DataSet, tables: BlanketTables | None = None) -> BlanketTables:
-    """``tables`` checked against the model's edge set, or new tables for it."""
+def tables_for(model, ds: DataSet) -> BlanketTables:
+    """The blanket tables of ``ds`` under the model's edge set, reused while a
+    caller holds them: a weak slot on ``ds`` remembers the last ones built."""
     if ds.n_vars != model.n_vars:
         raise ValueError(f"dataset has {ds.n_vars} variables, model has {model.n_vars}")
-    if tables is None:
-        return BlanketTables(ds, model.edges)
-    if tables.edges != model.edges or tables.n_vars != model.n_vars:
-        raise ValueError("blanket tables were built for a different edge set")
+    tables = ds._cache.get("tables", lambda: None)()
+    if tables is None or tables.edges != model.edges:
+        tables = BlanketTables(ds, model.edges)
+        ds._cache["tables"] = weakref.ref(tables)
     return tables

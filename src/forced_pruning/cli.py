@@ -100,6 +100,8 @@ def load_model(path: str) -> tuple[PairwiseModel, TyingPartition | None]:
         n_vars = int(r.fields("variable count", "n_vars", 1)[0])
         node_weights = np.array([float(v) for v in r.fields("node weights", "nodes")])
         n_edges = int(r.fields("edge count", "edges", 1)[0])
+        if n_edges < 0:
+            r.fail(f"edge count must be >= 0, got {n_edges}")
         edges, edge_weights = [], []
         for _ in range(n_edges):
             parts = r.next("edge line").split()
@@ -128,6 +130,9 @@ def load_model(path: str) -> tuple[PairwiseModel, TyingPartition | None]:
             raise
         except ValueError as exc:
             r.fail(str(exc))
+    while r.pos < len(r.lines):
+        if r.next("end of file").strip():
+            r.fail(f"unexpected line {r.lines[r.pos - 1]!r} after the model")
     return model, partition
 
 
@@ -231,14 +236,14 @@ def _load_splits(args) -> dict[str, DataSet]:
     return splits
 
 
-def _cell_config(args, m: int, k: int, heuristic: str, seed: int, apt_clusters: int | None = None) -> PruningConfig:
+def _cell_config(args, m: int, k: int, heuristic: str, seed: int) -> PruningConfig:
     return PruningConfig(
         extra_edges=m,
         exchange_size=k,
         heuristic=heuristic,
         max_iter=args.max_iter,
         seed=seed,
-        apt_clusters=apt_clusters if apt_clusters is not None else args.apt_clusters,
+        apt_clusters=args.apt_clusters,
         fit=FitOptions(l2_strength=args.l2),
         rejection_cap=args.rejection_cap,
     )
@@ -351,6 +356,8 @@ def parse_sweep(spec: str) -> tuple[list[int], list[int], list[str] | None]:
         key = key.strip()
         if not eq or key not in ("m", "k", "h"):
             raise ValueError(f"bad sweep component {part!r}, expected m=..., k=... or h=...")
+        if {"m": ms, "k": ks, "h": hs}[key] is not None:
+            raise ValueError(f"sweep component {key}= given more than once")
         items = [v.strip() for v in values.split(",") if v.strip()]
         if not items:
             raise ValueError(f"empty value list in sweep component {part!r}")
@@ -475,21 +482,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid", help="validation split")
     p.add_argument("--test", help="test split")
     p.add_argument("--name", help="dataset name for reports (default: from --train filename)")
-    p.add_argument("--extra-edges", type=int, default=0, metavar="M",
+    p.add_argument("--extra-edges", type=int, default=PruningConfig.extra_edges, metavar="M",
                    help="edges beyond the spanning tree (budget = n_vars - 1 + M)")
-    p.add_argument("--exchange", type=int, default=5, metavar="K",
+    p.add_argument("--exchange", type=int, default=PruningConfig.exchange_size, metavar="K",
                    help="edges deleted and added per iteration")
-    p.add_argument("--heuristic", choices=HEURISTICS, default="greedy",
+    p.add_argument("--heuristic", choices=HEURISTICS, default=PruningConfig.heuristic,
                    help="edge deletion heuristic")
-    p.add_argument("--apt-clusters", type=int, default=16,
+    p.add_argument("--apt-clusters", type=int, default=PruningConfig.apt_clusters,
                    help="parameter-tying cluster count")
     p.add_argument("--apt-select", action="store_true",
                    help="pick the tying cluster count from {4,8,16,32} by "
                         "validation negative PLL (needs --valid; single runs only)")
-    p.add_argument("--l2", type=float, default=0.1, help="L2 penalty strength")
-    p.add_argument("--max-iter", type=int, default=30, help="exchange iterations")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
-    p.add_argument("--rejection-cap", type=int, default=10000,
+    p.add_argument("--l2", type=float, default=FitOptions.l2_strength, help="L2 penalty strength")
+    p.add_argument("--max-iter", type=int, default=PruningConfig.max_iter, help="exchange iterations")
+    p.add_argument("--seed", type=int, default=PruningConfig.seed, help="base random seed")
+    p.add_argument("--rejection-cap", type=int, default=PruningConfig.rejection_cap,
                    help="max rejection-sampling proposals per iteration")
     p.add_argument("--out-dir", default="fp-run", help="output directory")
     p.add_argument("--sweep", metavar="GRID",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ class DataSet:
 
     X: np.ndarray
     name: str = "dataset"
-    # values derived from X alone (compression, Chow-Liu tree), never observable
+    # derived from X alone, never observable: compression, Chow-Liu tree, weakref to tables
     _cache: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -48,6 +49,11 @@ class DataSet:
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "_cache", {})
+
+    def __getstate__(self):
+        # a weak reference cannot be pickled; the tables are rebuilt on demand
+        cache = {k: v for k, v in self._cache.items() if not isinstance(v, weakref.ref)}
+        return {**self.__dict__, "_cache": cache}
 
     def __setstate__(self, state):
         # unpickled arrays come back writable; keep the cache, restore the flags

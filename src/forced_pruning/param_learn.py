@@ -5,7 +5,8 @@ per-instance mean, so the penalty is on that scale too). Tying quantizes the
 fitted weights into c clusters by exact 1-D dynamic programming, then refits
 one shared value per cluster. Both fits evaluate the objective and its
 gradient in one pass over the Markov-blanket tables of the model's edge set
-(:mod:`forced_pruning.blanket`), which the caller may build once and share.
+(:mod:`forced_pruning.blanket`); while a caller holds those tables, every fit
+on the same dataset and edge set reuses them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .blanket import BlanketTables, tables_for
+from .blanket import tables_for
 from .dataset import DataSet
 from .model import PairwiseModel
 
@@ -173,16 +174,14 @@ def mple_fit(
     model: PairwiseModel,
     ds: DataSet,
     opts: FitOptions = FitOptions(),
-    tables: BlanketTables | None = None,
 ) -> PairwiseModel:
     """Maximize pll - l2 * ||theta||^2 over all weights.
 
     Starts from the weights carried by ``model`` (pass a zero-weight model
     for a cold start; the pruning loop passes the previous iteration's
-    weights to warm-start). ``tables`` are the blanket tables of ``ds`` under
-    the model's edge set; they are built here when not given.
+    weights to warm-start).
     """
-    tables = tables_for(model, ds, tables)
+    tables = tables_for(model, ds)
     l2 = opts.l2_strength
 
     def fun_grad(vec):
@@ -198,7 +197,6 @@ def tied_fit(
     ds: DataSet,
     partition: TyingPartition,
     opts: FitOptions = FitOptions(),
-    tables: BlanketTables | None = None,
 ) -> PairwiseModel:
     """Refit with all parameters in a cluster sharing one value.
 
@@ -210,7 +208,7 @@ def tied_fit(
         raise ValueError(
             f"partition covers {partition.n_params} parameters, model has {model.n_params}"
         )
-    tables = tables_for(model, ds, tables)
+    tables = tables_for(model, ds)
     assign = partition.assignment
     k = partition.n_clusters
     l2 = opts.l2_strength
@@ -228,7 +226,6 @@ def learn_params_with_apt(
     ds: DataSet,
     c: int,
     opts: FitOptions = FitOptions(),
-    tables: BlanketTables | None = None,
 ) -> tuple[PairwiseModel, TyingPartition]:
     """Full parameter-learning pipeline: MPLE fit, quantize, tied refit.
 
@@ -236,10 +233,10 @@ def learn_params_with_apt(
     refit shared values, so ``partition.expand()`` reproduces the returned
     model's weights and the model has at most c distinct values.
     """
-    tables = tables_for(model, ds, tables)
-    fitted = mple_fit(model, ds, opts, tables=tables)
+    _held = tables_for(model, ds)  # both fits below share this build
+    fitted = mple_fit(model, ds, opts)
     partition = quantize_params(fitted.weight_vector(), c)
-    tied = tied_fit(fitted, ds, partition, opts, tables=tables)
+    tied = tied_fit(fitted, ds, partition, opts)
     _, first = np.unique(partition.assignment, return_index=True)
     final = TyingPartition(
         assignment=partition.assignment,

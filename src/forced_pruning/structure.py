@@ -4,9 +4,9 @@ The learner keeps exactly M = n_vars - 1 + extra_edges edges active at all
 times. It starts from the Chow-Liu tree plus random extra edges, then
 repeatedly refits parameters (with tying), drops the k weakest edges, and
 adds the k most promising edges from the inactive pool. Each iteration
-builds the Markov-blanket tables of the current structure once
-(:mod:`forced_pruning.blanket`) and shares them between the fits, the
-deletion heuristic and the addition scoring.
+holds the Markov-blanket tables of the current structure
+(:mod:`forced_pruning.blanket`), so the fits, the deletion heuristic and the
+addition scoring all get that one build for their (dataset, edge set).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .blanket import BlanketTables, tables_for
+from .blanket import tables_for
 from .chowliu import chow_liu_tree
 from .dataset import DataSet
 from .model import Edge, PairwiseModel, canonical_edge, complete_edges
@@ -99,32 +99,27 @@ class RejectionOutcome(NamedTuple):
     fell_back: bool
 
 
-def edge_deletion_scores(
-    model: PairwiseModel, ds: DataSet, tables: BlanketTables | None = None
-) -> list[EdgeScore]:
+def edge_deletion_scores(model: PairwiseModel, ds: DataSet) -> list[EdgeScore]:
     """PLL contribution of each active edge, worst first.
 
     The score of edge e is pll(model) - pll(model with e's weight zeroed);
-    ties are broken lexicographically by edge. ``tables`` are the blanket
-    tables of ``ds`` under the model's edge set, built here when not given.
+    ties are broken lexicographically by edge.
     """
     if not model.edges:
         raise ValueError("model has no active edges to score")
-    deltas = tables_for(model, ds, tables).deletion_deltas(model.weight_vector())
+    deltas = tables_for(model, ds).deletion_deltas(model.weight_vector())
     scores = [EdgeScore(e, float(d)) for e, d in zip(model.edges, deltas)]
     scores.sort(key=lambda s: (s.delta, s.edge))
     return scores
 
 
-def greedy_delete(
-    model: PairwiseModel, ds: DataSet, k: int, tables: BlanketTables | None = None
-) -> set[Edge]:
+def greedy_delete(model: PairwiseModel, ds: DataSet, k: int) -> set[Edge]:
     """The k active edges whose removal costs the least PLL."""
     if not 0 <= k <= len(model.edges):
         raise ValueError(f"k must be in [0, {len(model.edges)}], got {k}")
     if k == 0:
         return set()
-    return {s.edge for s in edge_deletion_scores(model, ds, tables)[:k]}
+    return {s.edge for s in edge_deletion_scores(model, ds)[:k]}
 
 
 def _draw_subset(items: Sequence, k: int, rng: np.random.Generator) -> list:
@@ -142,8 +137,7 @@ def rejection_sample_delete(
     ds: DataSet,
     k: int,
     rng: np.random.Generator,
-    cap: int = 10000,
-    tables: BlanketTables | None = None,
+    cap: int = PruningConfig.rejection_cap,
 ) -> RejectionOutcome:
     """Sample a k-subset S of active edges with probability ∝ exp(pll without S).
 
@@ -159,17 +153,16 @@ def rejection_sample_delete(
         raise ValueError("cap must be >= 1")
     if k == 0:
         return RejectionOutcome(frozenset(), 0, False)
-    tables = tables_for(model, ds, tables)
     edges = sorted(model.edges)
     index = {e: j for j, e in enumerate(model.edges)}
-    score = tables.subset_scorer(model.weight_vector())
+    score = tables_for(model, ds).subset_scorer(model.weight_vector())
     for proposals in range(1, cap + 1):
         subset = _draw_subset(edges, k, rng)
         u = rng.random()
         if u <= np.exp(score([index[e] for e in subset])):
             return RejectionOutcome(frozenset(subset), proposals, False)
     logger.info("no proposal accepted within cap %d, falling back to greedy deletion", cap)
-    return RejectionOutcome(frozenset(greedy_delete(model, ds, k, tables)), cap, True)
+    return RejectionOutcome(frozenset(greedy_delete(model, ds, k)), cap, True)
 
 
 def greedy_add(
@@ -177,7 +170,6 @@ def greedy_add(
     ds: DataSet,
     candidates: Iterable[Edge],
     k: int,
-    tables: BlanketTables | None = None,
 ) -> list[tuple[Edge, float]]:
     """The k inactive edges whose addition gains the most PLL.
 
@@ -203,7 +195,7 @@ def greedy_add(
         raise ValueError(f"k must be in [0, {len(candidates)}], got {k}")
     if k == 0:
         return []
-    gains = tables_for(model, ds, tables).addition_gains(model.weight_vector(), candidates)
+    gains = tables_for(model, ds).addition_gains(model.weight_vector(), candidates)
     scored = sorted(zip(candidates, gains.tolist()), key=lambda s: (-s[1], s[0]))
     return scored[:k]
 
@@ -248,8 +240,8 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
     records = []
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
-        tables = BlanketTables(train, model.edges)
-        model, partition = learn_params_with_apt(model, train, c, config.fit, tables=tables)
+        tables = tables_for(model, train)  # held, so every step below reuses it
+        model, partition = learn_params_with_apt(model, train, c, config.fit)
         neg = -tables.pll(model.weight_vector())
         if best is None or neg < best[0]:
             best = (neg, model, partition, it)
@@ -258,13 +250,12 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
         # the last iteration's exchange would never be fitted or scored
         if k > 0 and it < config.max_iter:
             if config.heuristic == "greedy":
-                deleted = greedy_delete(model, train, k, tables=tables)
+                deleted = greedy_delete(model, train, k)
             else:
-                outcome = rejection_sample_delete(
-                    model, train, k, rng, config.rejection_cap, tables=tables)
+                outcome = rejection_sample_delete(model, train, k, rng, config.rejection_cap)
                 deleted = set(outcome.edges)
                 proposals, fell_back = outcome.proposals, outcome.fell_back
-            added = [e for e, _ in greedy_add(model, train, pool, k, tables=tables)]
+            added = [e for e, _ in greedy_add(model, train, pool, k)]
             active = sorted(set(active) - deleted | set(added))
             pool = sorted(set(pool) - set(added) | deleted)
             carried = dict(zip(model.edges, model.edge_weights))

@@ -1,6 +1,9 @@
-"""The public names of the package: pinned, resolvable, and all imported."""
+"""The public names of the package: pinned, resolvable, and all imported; and
+the parameters of the functions that share the Markov-blanket tables."""
 
 import ast
+import glob
+import inspect
 import os
 
 import forced_pruning
@@ -80,3 +83,32 @@ def test_all_matches_the_imports():
     bindings = _init_bindings()
     assert len(set(bindings)) == len(bindings)
     assert sorted(bindings) == sorted(forced_pruning.__all__)
+
+
+# These functions get their blanket tables from (dataset, edge set) through
+# blanket.tables_for, so none of them takes the tables as an argument.
+PARAMETERS = {
+    "mple_fit": ["model", "ds", "opts"],
+    "tied_fit": ["model", "ds", "partition", "opts"],
+    "learn_params_with_apt": ["model", "ds", "c", "opts"],
+    "edge_deletion_scores": ["model", "ds"],
+    "greedy_delete": ["model", "ds", "k"],
+    "rejection_sample_delete": ["model", "ds", "k", "rng", "cap"],
+    "greedy_add": ["model", "ds", "candidates", "k"],
+}
+
+
+def test_table_sharing_functions_have_pinned_parameters():
+    for name, params in PARAMETERS.items():
+        assert list(inspect.signature(getattr(forced_pruning, name)).parameters) == params, name
+
+
+def test_no_function_takes_tables():
+    for path in glob.glob(os.path.join(REPO_ROOT, "src", "forced_pruning", "*.py")):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                assert "tables" not in names, f"{path}:{node.lineno}"

@@ -20,6 +20,9 @@ from forced_pruning import (
     Edge,
     PairwiseModel,
     complete_edges,
+    edge_deletion_scores,
+    greedy_add,
+    mple_fit,
     pll,
     pll_gradient,
     pll_without_edges,
@@ -218,8 +221,26 @@ class TestSpecialCases:
         assert tables.start[1] == ds.compressed()[0].shape[0]
         check_pll_and_gradient(model, ds)
 
-    def test_rejects_tables_of_another_structure(self, rng):
+    def test_stale_slot_is_never_served(self, rng):
+        # two structures of four edges alternate over one DataSet, each call
+        # made while the other's tables are held, so the slot is alive but stale
+        X = (rng.random((60, 5)) < 0.5).astype(np.float64)
+        a, b = (PairwiseModel(5, rng.normal(size=5), edges, rng.normal(size=4)) for edges in (
+            (Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 4)),
+            (Edge(0, 2), Edge(0, 3), Edge(1, 4), Edge(2, 4))))
+
+        def outputs(model, ds):
+            pool = [e for e in complete_edges(5) if e not in model.edges]
+            return (edge_deletion_scores(model, ds), greedy_add(model, ds, pool, 3),
+                    mple_fit(model, ds).weight_vector().tobytes())
+
+        shared = DataSet(X)
+        for model, other in [(a, b), (b, a), (a, b), (b, a)]:
+            held = tables_for(other, shared)
+            assert outputs(model, shared) == outputs(model, DataSet(X))
+            assert held.edges == other.edges
+
+    def test_rejects_a_dataset_of_another_width(self, rng):
         ds = random_dataset(rng, 4, 20)
-        tables = BlanketTables(ds, (Edge(0, 1),))
-        with pytest.raises(ValueError, match="different edge set"):
-            tables_for(PairwiseModel.zeros(4, (Edge(0, 2),)), ds, tables)
+        with pytest.raises(ValueError, match="dataset has 4 variables, model has 5"):
+            tables_for(PairwiseModel.zeros(5, (Edge(0, 1),)), ds)

@@ -12,15 +12,17 @@ import pytest
 from forced_pruning import (
     Edge,
     FitError,
+    FitOptions,
     ModelFormatError,
     PairwiseModel,
+    PruningConfig,
     TyingPartition,
     load_dataset,
     load_model,
     pll,
     save_model,
 )
-from forced_pruning.cli import main, parse_sweep
+from forced_pruning.cli import _cell_config, build_parser, main, parse_sweep
 
 from conftest import random_model, write_data_file
 
@@ -94,6 +96,30 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_negative_edge_count_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("pairwise-model v1\nn_vars 2\nnodes 0.0 0.0\nedges -1\n")
+        with pytest.raises(ModelFormatError, match="line 4: edge count must be >= 0"):
+            load_model(path)
+
+    @pytest.mark.parametrize("tail, line", [
+        ("tying 1\nassignment 0 0 0\nmeans 0.5\nextra junk\n", 9),
+        ("tying 1\nassignment 0 0 0\nmeans 0.5\n\n  \nextra junk\n\n", 11),
+        ("\ntying 1\nassignment 0 0 0\nmeans 0.5\n", 7),
+    ])
+    def test_trailing_lines_rejected(self, tmp_path, tail, line):
+        path = tmp_path / "m.txt"
+        path.write_text("pairwise-model v1\nn_vars 2\nnodes 0.0 0.0\nedges 1\n0 1 0.5\n" + tail)
+        with pytest.raises(ModelFormatError, match=f"line {line}: unexpected line"):
+            load_model(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("pairwise-model v1\nn_vars 2\nnodes 0.0 0.0\nedges 1\n0 1 0.5\n"
+                        "tying 1\nassignment 0 0 0\nmeans 0.5\n\n \n")
+        model, part = load_model(path)
+        assert model.edges == (Edge(0, 1),) and part.means.tolist() == [0.5]
+
     def test_binary_file_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_bytes(bytes(range(256)))
@@ -119,11 +145,18 @@ class TestParseSweep:
 
     @pytest.mark.parametrize("bad", [
         "m=0", "k=0", "m=0;k=a", "m=-1;k=0", "q=1;m=0;k=0", "m=;k=0",
-        "m=0;k=0;h=quantum",
+        "m=0;k=0;h=quantum", "m=0;k=0;m=5", "m=0;k=0;h=greedy;h=rejection",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_sweep(bad)
+
+
+def test_parser_defaults_are_the_config_defaults():
+    # PruningConfig equality covers every run setting, FitOptions included
+    args = build_parser().parse_args(["--train", "x"])
+    config = _cell_config(args, args.extra_edges, args.exchange, args.heuristic, args.seed)
+    assert config == PruningConfig(fit=FitOptions())
 
 
 class TestRunSingle:

@@ -1,6 +1,9 @@
 """Edge scoring, deletion heuristics, greedy addition, and the full loop."""
 
+import gc
+import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from forced_pruning import (
     pll_without_edges,
     rejection_sample_delete,
 )
+from forced_pruning.blanket import BlanketTables, tables_for
 
 from conftest import make_dataset, random_dataset, random_model, sample_dataset
 
@@ -286,6 +290,63 @@ class TestForcedPruning:
         # V=3: complete graph has 3 edges, tree 2, pool 1 -> k=2 impossible
         with pytest.raises(ValueError, match="exchange_size"):
             forced_pruning(ds, PruningConfig(extra_edges=0, exchange_size=2, max_iter=1))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Weak references to every BlanketTables built while the test runs."""
+    made = []
+    init = BlanketTables.__init__
+
+    def counting(self, ds, edges):
+        init(self, ds, edges)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(BlanketTables, "__init__", counting)
+    return made
+
+
+class TestSharedTables:
+    """Every step of an iteration asks for the tables of (dataset, edge set);
+    the loop holds them, so each iteration builds them once."""
+
+    @pytest.mark.parametrize("heuristic, cap", [
+        ("greedy", 10000), ("rejection", 10000), ("rejection", 1)])
+    def test_one_build_per_iteration(self, rng, builds, heuristic, cap):
+        ds = random_dataset(rng, 6, 80)
+        cfg = PruningConfig(extra_edges=3, exchange_size=2, heuristic=heuristic,
+                            max_iter=5, seed=3, rejection_cap=cap)
+        result = forced_pruning(ds, cfg)
+        assert len(builds) == cfg.max_iter
+        if heuristic == "rejection":
+            assert sum(r.proposals for r in result.iterations) > 0
+            assert any(r.fell_back for r in result.iterations) == (cap == 1)
+
+    def test_apt_fit_builds_once(self, rng, builds):
+        ds = random_dataset(rng, 5, 60)
+        learn_params_with_apt(random_model(rng, 5, 6), ds, 4)
+        assert len(builds) == 1
+
+    def test_last_tables_die_with_the_run(self, rng, builds):
+        ds = random_dataset(rng, 5, 60)
+        gc.disable()
+        try:
+            forced_pruning(ds, PruningConfig(extra_edges=2, exchange_size=2, max_iter=3))
+            assert len(builds) == 3 and all(ref() is None for ref in builds)
+        finally:
+            gc.enable()
+
+    def test_dataset_pickles_without_its_tables(self, rng):
+        ds = random_dataset(rng, 5, 60)
+        cfg = PruningConfig(extra_edges=2, exchange_size=2, max_iter=3)
+        result = forced_pruning(ds, cfg)
+        clone = pickle.loads(pickle.dumps(ds))
+        assert sorted(clone._cache) == ["chow_liu_tree", "compressed"]
+        held = tables_for(result.model, ds)  # a live slot is left out too
+        assert "tables" in ds._cache and "tables" not in pickle.loads(pickle.dumps(ds))._cache
+        again = forced_pruning(clone, cfg)
+        assert again.model.weight_vector().tobytes() == result.model.weight_vector().tobytes()
+        assert held.edges == result.model.edges
 
 
 class TestPruningConfig:
