@@ -12,10 +12,25 @@ are unique rows, and a sparse structure has far fewer: the plants Chow-Liu
 tree has about 500 groups in all against about 8000 unique rows per
 variable.
 
-Groups are keyed by the blanket bits packed into big-endian 64-bit words (one
-integer per row up to 64 columns), so grouping is exact at any blanket size.
-Every reduction here is a sequential ``np.bincount`` over a fixed order, so
-results do not depend on BLAS threading.
+Groups are keyed by the variable and its blanket, packed by shift-or from a
+column-major uint8 copy of the compressed rows into 64-bit words, first
+column most significant: one integer per row up to 64 columns, several words
+beyond. So grouping is exact at any blanket size, and the group order is the
+lexicographic row order.
+
+A variable's groups depend only on (dataset, variable, blanket), and an
+exchange of k edges changes at most 2k blankets. Tables built while the last
+tables of the same dataset are still held (the weak slot of
+:func:`tables_for`) take each unchanged variable's first rows, counts,
+row-to-group map and, if computed there, ``ones`` rows from them, and
+regroup only the other variables. They keep those array blocks, never the
+older tables, so no chain of tables stays alive.
+
+``ones`` is one CSC product per variable: each unique row is in exactly one
+group, so the membership matrix has one entry per column and needs no sort.
+Its sums are exact integers, and every other reduction here is a sequential
+``np.bincount`` over a fixed order, so results do not depend on BLAS
+threading.
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .dataset import DataSet, unique_rows
+from .dataset import DataSet, unique_keys
 
 ADD_WEIGHT_BOUND = 30.0
 _NEWTON_STEPS = 100
@@ -70,15 +85,26 @@ class BlanketTables:
         for lo, hi in self.edges:
             neighbours[lo].append(hi)
             neighbours[hi].append(lo)
-        bits = rows.astype(np.uint8)
-        reps, counts, inverse, sizes = [], [], [], []
-        for v in range(V):
-            _, first, inv = unique_rows(bits[:, [v] + sorted(neighbours[v])],
-                                        return_index=True, return_inverse=True)
+        self._keys = [(v, *sorted(nb)) for v, nb in enumerate(neighbours)]
+        # the last tables of ds, while a caller holds them: their blocks of
+        # every unchanged blanket carry over (see the module docstring)
+        prev = ds._cache.get("tables", lambda: None)()
+        prev_ones = prev.__dict__.get("ones") if prev is not None else None
+        columns = np.ascontiguousarray(rows.T, dtype=np.uint8)
+        reps, counts, self._inverse, self._carried_ones = [], [], [], {}
+        for v, key in enumerate(self._keys):
+            if prev is not None and prev._keys[v] == key:
+                lo, hi = prev.start[v], prev.start[v + 1]
+                first, count, inv = prev.rep[lo:hi], prev.count[lo:hi], prev._inverse[v]
+                if prev_ones is not None:
+                    self._carried_ones[v] = prev_ones[lo:hi]
+            else:
+                first, inv = _group(columns, key)
+                count = np.bincount(inv, weights=weights)
             reps.append(first)
-            counts.append(np.bincount(inv.ravel(), weights=weights))
-            inverse.append(inv.ravel().astype(np.int32))
-            sizes.append(first.size)
+            counts.append(count)
+            self._inverse.append(inv)  # per variable: group of each compressed row
+        sizes = [first.size for first in reps]
         self.start = np.concatenate([[0], np.cumsum(sizes)])
         self.var = np.repeat(np.arange(V), sizes)
         self.rep = np.concatenate(reps)
@@ -86,7 +112,6 @@ class BlanketTables:
         rep_rows = rows[self.rep]
         self.x = rep_rows[np.arange(self.n_groups), self.var]
         self.t = 2.0 * self.x - 1.0
-        self._inverse = inverse  # per variable: group of each compressed row
 
         # both sides of every edge in turn: the groups of one endpoint in
         # which the other endpoint is 1
@@ -109,10 +134,16 @@ class BlanketTables:
         rows, weights = self._ds.compressed()
         U = rows.shape[0]
         out = np.empty((self.n_groups, self.n_vars))
+        carried, self._carried_ones = self._carried_ones, {}
+        # every unique row is in exactly one group: one entry per CSC column
+        indptr = np.arange(U + 1, dtype=np.int32)
         for v, inv in enumerate(self._inverse):
             lo, hi = self.start[v], self.start[v + 1]
-            member = sparse.csr_matrix((weights, (inv, np.arange(U))), shape=(hi - lo, U))
-            out[lo:hi] = member @ rows
+            if v in carried:
+                out[lo:hi] = carried[v]
+            else:
+                member = sparse.csc_matrix((weights, inv, indptr), shape=(hi - lo, U))
+                out[lo:hi] = member @ rows
         return out
 
     def _split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,6 +263,23 @@ class BlanketTables:
         change = s * (_log_sigmoid(tg * (zg + w[cand])) - _log_sigmoid(tg * zg))
         gains = np.bincount(cand, weights=change, minlength=n) / self.n_instances
         return np.maximum(gains, 0.0)
+
+
+def _group(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows by their ``key`` columns: the first row of each group,
+    and the int32 group of every row.
+
+    ``columns`` is the column-major 0/1 copy of the compressed rows. Every
+    64 key columns are packed into one word by shift-or, the first column
+    most significant, so key order is the lexicographic row order.
+    """
+    words = np.zeros((-(-len(key) // 64), columns.shape[1]), dtype=np.uint64)
+    for i, c in enumerate(key):
+        word = words[i // 64]
+        word <<= 1
+        word |= columns[c]
+    _, first, inv = unique_keys(words.T, return_index=True, return_inverse=True)
+    return first, inv.ravel().astype(np.int32)
 
 
 def tables_for(model, ds: DataSet) -> BlanketTables:

@@ -97,19 +97,30 @@ def load_model(path: str) -> tuple[PairwiseModel, TyingPartition | None]:
     if header != MODEL_FORMAT_HEADER:
         r.fail(f"unsupported format header {header!r}, expected {MODEL_FORMAT_HEADER!r}")
     try:
+        # each line is checked as it is read, so an error names its line
         n_vars = int(r.fields("variable count", "n_vars", 1)[0])
-        node_weights = np.array([float(v) for v in r.fields("node weights", "nodes")])
+        if n_vars < 1:
+            r.fail(f"variable count must be >= 1, got {n_vars}")
+        node_weights = np.array([float(v) for v in r.fields("node weights", "nodes", n_vars)])
+        if not np.isfinite(node_weights).all():
+            r.fail("node weights must be finite")
         n_edges = int(r.fields("edge count", "edges", 1)[0])
         if n_edges < 0:
             r.fail(f"edge count must be >= 0, got {n_edges}")
-        edges, edge_weights = [], []
+        edges: dict[Edge, float] = {}
         for _ in range(n_edges):
             parts = r.next("edge line").split()
             if len(parts) != 3:
                 r.fail(f"expected 'lo hi weight', got {len(parts)} fields")
-            edges.append(Edge(int(parts[0]), int(parts[1])))
-            edge_weights.append(float(parts[2]))
-        model = PairwiseModel(n_vars, node_weights, tuple(edges), np.array(edge_weights))
+            e, w = Edge(int(parts[0]), int(parts[1])), float(parts[2])
+            if not 0 <= e.lo < e.hi < n_vars:
+                r.fail(f"edge {e} is not canonical for {n_vars} variables")
+            if e in edges:
+                r.fail(f"duplicate edge {e}")
+            if not np.isfinite(w):
+                r.fail(f"edge weight {w} is not finite")
+            edges[e] = w
+        model = PairwiseModel(n_vars, node_weights, tuple(edges), list(edges.values()))
     except ModelFormatError:
         raise
     except ValueError as exc:

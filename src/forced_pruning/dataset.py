@@ -104,7 +104,12 @@ def unique_rows(bits: np.ndarray, **kwargs):
     packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1)
     words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     words[:, :packed.shape[1]] = packed
-    keys = words.view(">u8").astype(np.uint64)
+    return unique_keys(words.view(">u8").astype(np.uint64), **kwargs)
+
+
+def unique_keys(keys: np.ndarray, **kwargs):
+    """``np.unique`` over the rows of an (n, words) uint64 key array: a flat
+    integer unique for one word, a row-wise unique beyond."""
     axis = None if keys.shape[1] == 1 else 0
     return np.unique(keys, axis=axis, **kwargs)
 

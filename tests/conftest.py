@@ -162,7 +162,8 @@ def quantize_reference(params, c):
 
 
 def void_key_tables(ds, edges):
-    """Blanket group arrays by void-key grouping and a loop over edges."""
+    """Blanket group arrays by void-key grouping and a loop over edges, and
+    the ``ones`` counts by unbuffered per-row addition."""
     rows, weights = ds.compressed()
     V = ds.n_vars
     neighbours = [[] for _ in range(V)]
@@ -189,6 +190,9 @@ def void_key_tables(ds, edges):
             for v, u in ((lo, hi), (hi, lo))
         ]))
     sizes_e = [g.size for g in inc]
+    ones = np.zeros((start[-1], V))
+    for v in range(V):
+        np.add.at(ones, start[v] + inverse[v], weights[:, None] * rows)
     return {
         "start": start,
         "var": np.repeat(np.arange(V), sizes),
@@ -198,6 +202,7 @@ def void_key_tables(ds, edges):
         "inc_ptr": np.concatenate([[0], np.cumsum(sizes_e)]).astype(np.int64),
         "inc_group": np.concatenate(inc) if inc else np.zeros(0, dtype=np.int64),
         "inc_edge": np.repeat(np.arange(len(edges)), sizes_e),
+        "ones": ones,
     }
 
 

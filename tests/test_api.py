@@ -103,6 +103,14 @@ def test_table_sharing_functions_have_pinned_parameters():
         assert list(inspect.signature(getattr(forced_pruning, name)).parameters) == params, name
 
 
+def test_blanket_tables_constructor_is_pinned():
+    # the tables carry over from the last ones built for the dataset on
+    # their own; no argument or option turns that on or off
+    from forced_pruning.blanket import BlanketTables
+
+    assert list(inspect.signature(BlanketTables.__init__).parameters) == ["self", "ds", "edges"]
+
+
 def test_no_function_takes_tables():
     for path in glob.glob(os.path.join(REPO_ROOT, "src", "forced_pruning", "*.py")):
         with open(path, encoding="utf-8") as f:

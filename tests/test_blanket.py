@@ -1,13 +1,16 @@
 """Markov-blanket tables against the row-based reference evaluators, and the
-integer-keyed grouping and the compacted Newton search against their slow
-exact references (void-key grouping, the full-width Newton loop), byte for
-byte.
+integer-keyed grouping, the CSC ``ones`` counts, the compacted Newton search
+and the tables carried across an exchange against their slow exact
+references (void-key grouping, per-row addition, the full-width Newton loop,
+a build with nothing to carry), byte for byte.
 
 Tolerances are fixed from float64 rounding on at most a few hundred rows:
 1e-12 for PLL values, gradients and deletion deltas (all of order 1 per
 instance), and 1e-9 for addition gains against a bounded Brent search,
 whose own error in the weight is below its 1e-10 tolerance.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -70,15 +73,53 @@ def wide_blankets(draw):
     return model, DataSet(X.astype(np.float64))
 
 
+@st.composite
+def exchange_sequences(draw):
+    """Rows, a first edge set and 2-5 exchanges of k random active edges for
+    k random inactive ones. Half the cases have a hub whose blanket key
+    starts at 63, 64 or 65 columns and moves across those widths as hub
+    edges are swapped out and in."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        width = draw(st.sampled_from([63, 64, 65]))
+        n_vars = width + draw(st.integers(0, 2))
+        edges = {Edge(0, j) for j in range(1, width)}
+        edges |= {e for e in complete_edges(n_vars) if e.lo > 0 and rng.random() < 0.02}
+    else:
+        n_vars = draw(st.integers(3, 8))
+        pool = complete_edges(n_vars)
+        edges = {pool[i] for i in rng.choice(len(pool), rng.integers(1, len(pool)), replace=False)}
+    patterns = rng.random((draw(st.integers(1, 12)), n_vars)) < 0.5
+    X = patterns[rng.integers(patterns.shape[0], size=draw(st.integers(1, 60)))]
+    structures = [tuple(sorted(edges))]
+    for _ in range(draw(st.integers(2, 5))):
+        active, inactive = sorted(edges), sorted(set(complete_edges(n_vars)) - edges)
+        k = int(rng.integers(1, min(3, len(active), len(inactive)) + 1))
+        edges = (edges - {active[i] for i in rng.choice(len(active), k, replace=False)}
+                 | {inactive[i] for i in rng.choice(len(inactive), k, replace=False)})
+        structures.append(tuple(sorted(edges)))
+    return DataSet(X.astype(np.float64)), structures, draw(st.booleans())
+
+
+def table_arrays(tables, names):
+    """The named arrays of ``tables``; "inverse" is the per-variable list."""
+    return {n: getattr(tables, "_inverse" if n == "inverse" else n) for n in names}
+
+
+def assert_same_bytes(got, want):
+    for name, w in want.items():
+        g = got[name]
+        if name == "inverse":
+            assert [(a.dtype, a.tobytes()) for a in g] == [(a.dtype, a.tobytes()) for a in w]
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
 def check_against_void_keys(model, ds):
     tables = BlanketTables(ds, model.edges)
     ref = void_key_tables(ds, model.edges)
-    for name, want in ref.items():
-        got = getattr(tables, "_inverse" if name == "inverse" else name)
-        if name == "inverse":
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        else:
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert_same_bytes(table_arrays(tables, ref), ref)
     return tables
 
 
@@ -171,6 +212,42 @@ class TestAgainstSlowExactPaths:
         edges = tuple(sorted(pool[i] for i in rng.choice(len(pool), 60, replace=False)))
         model = PairwiseModel(40, rng.normal(size=40), edges, rng.normal(size=60))
         check_gains_against_full_width(model, ds, check_against_void_keys(model, ds))
+
+
+GROUP_ARRAYS = ("start", "var", "rep", "count", "x", "t", "inc_ptr", "inc_group", "inc_edge",
+                "inverse")
+
+
+class TestCarryOver:
+    """Tables built while the last ones for the dataset are held take the
+    blocks of every unchanged blanket from them; the result must equal a
+    build on an unpickled copy of the dataset, whose cache has no slot."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(exchange_sequences())
+    def test_carried_tables_equal_a_fresh_build(self, case):
+        shared, structures, ones_first = case
+        clone = pickle.loads(pickle.dumps(shared))
+        pending = None  # tables whose ones are checked only after they were carried from
+        for i, edges in enumerate(structures):
+            tables = tables_for(PairwiseModel.zeros(shared.n_vars, edges), shared)
+            assert "tables" not in clone._cache
+            fresh = BlanketTables(clone, edges)
+            ref = void_key_tables(shared, edges)
+            assert_same_bytes(table_arrays(tables, GROUP_ARRAYS), table_arrays(fresh, GROUP_ARRAYS))
+            assert_same_bytes(table_arrays(tables, GROUP_ARRAYS),
+                              {n: a for n, a in ref.items() if n != "ones"})
+            if pending is not None:
+                assert_same_bytes({"ones": pending[0].ones}, pending[1])
+            # alternate: the successor carries computed ones or builds its own
+            if (i % 2 == 0) == ones_first:
+                assert_same_bytes({"ones": tables.ones}, {"ones": fresh.ones})
+                assert_same_bytes({"ones": tables.ones}, {"ones": ref["ones"]})
+                pending = None
+            else:
+                pending = tables, {"ones": ref["ones"]}
+        if pending is not None:
+            assert_same_bytes({"ones": pending[0].ones}, pending[1])
 
 
 class TestSpecialCases:

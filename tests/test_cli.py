@@ -88,6 +88,22 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="line 5"):
             load_model(path)
 
+    @pytest.mark.parametrize("body, line, message", [
+        ("n_vars 3\nnodes 0 0\nedges 1\n0 1 0.5\n", 3, "expected 3 values after 'nodes', got 2"),
+        ("n_vars 3\nnodes 0 0 0 0\nedges 0\n", 3, "expected 3 values after 'nodes', got 4"),
+        ("n_vars 3\nnodes 0 nan 0\nedges 1\n0 1 0.5\n", 3, "finite"),
+        ("n_vars 0\nnodes\nedges 0\n", 2, "variable count must be >= 1"),
+        ("n_vars 3\nnodes 0 0 0\nedges 2\n0 7 0.5\n0 1 0.5\n", 5, "not canonical for 3"),
+        ("n_vars 3\nnodes 0 0 0\nedges 2\n2 1 0.5\n0 1 0.5\n", 5, "not canonical for 3"),
+        ("n_vars 3\nnodes 0 0 0\nedges 3\n0 1 0.5\n0 1 0.5\n1 2 0.5\n", 6, "duplicate edge"),
+        ("n_vars 3\nnodes 0 0 0\nedges 2\n0 2 inf\n0 1 0.5\n", 5, "not finite"),
+    ])
+    def test_bad_line_is_named_where_it_is_read(self, tmp_path, body, line, message):
+        path = tmp_path / "m.txt"
+        path.write_text("pairwise-model v1\n" + body)
+        with pytest.raises(ModelFormatError, match=rf"line {line}: .*{message}"):
+            load_model(path)
+
     def test_partition_length_mismatch(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text(

@@ -24,6 +24,7 @@ from forced_pruning import (
     pll_without_edges,
     rejection_sample_delete,
 )
+from forced_pruning import blanket, structure
 from forced_pruning.blanket import BlanketTables, tables_for
 
 from conftest import make_dataset, random_dataset, random_model, sample_dataset
@@ -336,6 +337,24 @@ class TestSharedTables:
         finally:
             gc.enable()
 
+    def test_no_chain_of_tables_stays_alive(self, rng, builds, monkeypatch):
+        # carried tables hold array blocks only, never their predecessor
+        alive = []
+        fit = structure.learn_params_with_apt
+
+        def probing(*args):
+            alive.append([ref() is not None for ref in builds])
+            return fit(*args)
+
+        monkeypatch.setattr(structure, "learn_params_with_apt", probing)
+        ds = random_dataset(rng, 6, 80)
+        gc.disable()
+        try:
+            forced_pruning(ds, PruningConfig(extra_edges=2, exchange_size=2, max_iter=4))
+        finally:
+            gc.enable()
+        assert len(alive[2]) == 3 and alive[2][2] and not alive[2][0]
+
     def test_dataset_pickles_without_its_tables(self, rng):
         ds = random_dataset(rng, 5, 60)
         cfg = PruningConfig(extra_edges=2, exchange_size=2, max_iter=3)
@@ -347,6 +366,54 @@ class TestSharedTables:
         again = forced_pruning(clone, cfg)
         assert again.model.weight_vector().tobytes() == result.model.weight_vector().tobytes()
         assert held.edges == result.model.edges
+
+
+@pytest.fixture
+def groupings(monkeypatch, builds):
+    """(index of the build, variable) of every per-variable grouping."""
+    made = []
+    group = blanket._group
+
+    def counting(columns, key):
+        made.append((len(builds), key[0]))
+        return group(columns, key)
+
+    monkeypatch.setattr(blanket, "_group", counting)
+    return made
+
+
+def _neighbours(edges, v):
+    return {u for e in edges if v in e for u in e if u != v}
+
+
+class TestCarriedBlankets:
+    """Tables built while the last ones are held regroup only the variables
+    whose Markov blanket changed."""
+
+    @pytest.mark.parametrize("heuristic", ["greedy", "rejection"])
+    def test_only_changed_blankets_are_regrouped(self, rng, builds, groupings, heuristic):
+        ds = random_dataset(rng, 8, 120)
+        cfg = PruningConfig(extra_edges=3, exchange_size=2, heuristic=heuristic,
+                            max_iter=6, seed=1)
+        result = forced_pruning(ds, cfg)
+        assert len(builds) == cfg.max_iter
+        regrouped = [sorted(v for b, v in groupings if b == i) for i in range(cfg.max_iter)]
+        assert regrouped[0] == list(range(8))
+        for rec, got in zip(result.iterations, regrouped[1:]):
+            after = rec.active_edges
+            before = sorted(set(after) - set(rec.added) | set(rec.deleted))
+            changed = {v for e in rec.deleted + rec.added for v in e
+                       if _neighbours(before, v) != _neighbours(after, v)}
+            assert got == sorted(changed) and 0 < len(got) < 8
+
+    def test_same_edges_regroup_nothing(self, rng, groupings):
+        ds = random_dataset(rng, 7, 90)
+        model = random_model(rng, 7, 9)
+        held = tables_for(model, ds)
+        assert len(groupings) == 7
+        assert tables_for(model, ds) is held
+        BlanketTables(ds, model.edges)  # every blanket carries over from the held tables
+        assert len(groupings) == 7
 
 
 class TestPruningConfig:
