@@ -13,24 +13,29 @@ tree has about 500 groups in all against about 8000 unique rows per
 variable.
 
 Groups are keyed by the variable and its blanket, packed by shift-or from a
-column-major uint8 copy of the compressed rows into 64-bit words, first
-column most significant: one integer per row up to 64 columns, several words
-beyond. So grouping is exact at any blanket size, and the group order is the
-lexicographic row order.
+column-major uint8 copy of the compressed rows, first column most
+significant. A key of at most log2(unique rows) columns is one code per row,
+and the rows are grouped without a sort: by marking the codes present in a
+table of all codes, numbering them by a running count, and taking each
+group's first row by ``np.minimum.at``. A wider key is packed into 64-bit
+words and grouped by ``np.unique``. So grouping is exact at any blanket
+size, and the group order is the lexicographic row order.
 
 A variable's groups depend only on (dataset, variable, blanket), and an
 exchange of k edges changes at most 2k blankets. Tables built while the last
 tables of the same dataset are still held (the weak slot of
 :func:`tables_for`) take each unchanged variable's first rows, counts,
 row-to-group map and, if computed there, ``ones`` rows from them, and
-regroup only the other variables. They keep those array blocks, never the
-older tables, so no chain of tables stays alive.
+regroup only the other variables. The copies of the rows that every build
+reads (the uint8 columns and, once ``ones`` was needed, the nonzero pairs)
+carry over too. They keep those arrays, never the older tables, so no chain
+of tables stays alive.
 
-``ones`` is one CSC product per variable: each unique row is in exactly one
-group, so the membership matrix has one entry per column and needs no sort.
-Its sums are exact integers, and every other reduction here is a sequential
-``np.bincount`` over a fixed order, so results do not depend on BLAS
-threading.
+``ones`` is one weighted ``np.bincount`` per regrouped variable over the
+nonzero (row, u) pairs of the compressed rows, each binned at (group of the
+row, u). Its sums are exact integers, and every other reduction here is a
+sequential ``np.bincount`` over a fixed order, so results do not depend on
+BLAS threading.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.special import expit
 
 from .dataset import DataSet, unique_keys
@@ -87,10 +91,15 @@ class BlanketTables:
             neighbours[hi].append(lo)
         self._keys = [(v, *sorted(nb)) for v, nb in enumerate(neighbours)]
         # the last tables of ds, while a caller holds them: their blocks of
-        # every unchanged blanket carry over (see the module docstring)
+        # every unchanged blanket, and their copies of the rows, carry over
+        # (see the module docstring)
         prev = ds._cache.get("tables", lambda: None)()
-        prev_ones = prev.__dict__.get("ones") if prev is not None else None
-        columns = np.ascontiguousarray(rows.T, dtype=np.uint8)
+        if prev is None:
+            self._columns = np.ascontiguousarray(rows.T, dtype=np.uint8)
+            self._nonzero = prev_ones = None
+        else:
+            self._columns, self._nonzero = prev._columns, prev._nonzero
+            prev_ones = prev.__dict__.get("ones")
         reps, counts, self._inverse, self._carried_ones = [], [], [], {}
         for v, key in enumerate(self._keys):
             if prev is not None and prev._keys[v] == key:
@@ -99,7 +108,7 @@ class BlanketTables:
                 if prev_ones is not None:
                     self._carried_ones[v] = prev_ones[lo:hi]
             else:
-                first, inv = _group(columns, key)
+                first, inv = _group(self._columns, key)
                 count = np.bincount(inv, weights=weights)
             reps.append(first)
             counts.append(count)
@@ -131,19 +140,23 @@ class BlanketTables:
     @cached_property
     def ones(self) -> np.ndarray:
         """(n_groups, n_vars) weighted count of x_u = 1 within each group."""
-        rows, weights = self._ds.compressed()
-        U = rows.shape[0]
-        out = np.empty((self.n_groups, self.n_vars))
+        V = self.n_vars
+        out = np.empty((self.n_groups, V))
         carried, self._carried_ones = self._carried_ones, {}
-        # every unique row is in exactly one group: one entry per CSC column
-        indptr = np.arange(U + 1, dtype=np.int32)
+        if self._nonzero is None:
+            # the (row, u) pairs with x_u = 1 in row-major order, and the row's weight
+            rows, weights = self._ds.compressed()
+            r, u = np.divmod(np.flatnonzero(rows != 0), V)
+            self._nonzero = r, u, weights[r]
+        r, u, w = self._nonzero
         for v, inv in enumerate(self._inverse):
             lo, hi = self.start[v], self.start[v + 1]
             if v in carried:
                 out[lo:hi] = carried[v]
             else:
-                member = sparse.csc_matrix((weights, inv, indptr), shape=(hi - lo, U))
-                out[lo:hi] = member @ rows
+                # one weighted count per nonzero (row, u), binned at (group of row, u)
+                cell = (inv.astype(np.intp) * V)[r] + u
+                out[lo:hi] = np.bincount(cell, weights=w, minlength=(hi - lo) * V).reshape(-1, V)
         return out
 
     def _split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,13 +284,25 @@ def _group(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.ndar
 
     ``columns`` is the column-major 0/1 copy of the compressed rows. Every
     64 key columns are packed into one word by shift-or, the first column
-    most significant, so key order is the lexicographic row order.
+    most significant, so key order is the lexicographic row order. A key of
+    at most log2(rows) columns is grouped by marking its codes in a table of
+    all 2**len(key) codes, a wider one by ``np.unique``.
     """
-    words = np.zeros((-(-len(key) // 64), columns.shape[1]), dtype=np.uint64)
+    n = columns.shape[1]
+    words = np.zeros((-(-len(key) // 64), n), dtype=np.uint64)
     for i, c in enumerate(key):
         word = words[i // 64]
         word <<= 1
         word |= columns[c]
+    if 2 ** len(key) <= n:
+        code = words[0].view(np.int64)
+        present = np.zeros(2 ** len(key), dtype=bool)
+        present[code] = True
+        ids = np.cumsum(present, dtype=np.int32)
+        inv = ids[code] - 1
+        first = np.full(ids[-1], n, dtype=np.intp)
+        np.minimum.at(first, inv, np.arange(n))
+        return first, inv
     _, first, inv = unique_keys(words.T, return_index=True, return_inverse=True)
     return first, inv.ravel().astype(np.int32)
 

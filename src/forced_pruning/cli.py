@@ -131,12 +131,12 @@ def load_model(path: str) -> tuple[PairwiseModel, TyingPartition | None]:
         try:
             n_clusters = int(r.fields("tying header", "tying", 1)[0])
             assignment = np.array([int(v) for v in r.fields("cluster assignment", "assignment")])
+            if assignment.size != model.n_params:
+                r.fail(f"assignment covers {assignment.size} parameters, model has {model.n_params}")
+            if assignment.min() < 0 or assignment.max() >= n_clusters:
+                r.fail("cluster ids must lie in [0, n_clusters)")
             means = np.array([float(v) for v in r.fields("cluster means", "means")])
             partition = TyingPartition(assignment, means, n_clusters)
-            if partition.n_params != model.n_params:
-                raise ValueError(
-                    f"assignment covers {partition.n_params} parameters, model has {model.n_params}"
-                )
         except ModelFormatError:
             raise
         except ValueError as exc:

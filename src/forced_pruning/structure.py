@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -180,24 +181,35 @@ def greedy_add(
     Candidates are canonicalized; an active, repeated or out-of-range one is
     a ValueError.
     """
-    active, pool = set(model.edges), set()
-    for e in candidates:
+    candidates = list(candidates)
+    V = model.n_vars
+    ends = np.fromiter(chain.from_iterable(candidates), dtype=np.int64,
+                       count=2 * len(candidates)).reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    out = (lo < 0) | (hi >= V)
+    code = np.where(out, 0, lo * V + hi)  # code 0 is (0, 0), never an edge
+    active = np.isin(code, [e.lo * V + e.hi for e in model.edges])
+    codes, first = np.unique(code, return_index=True)
+    repeat = np.ones(code.size, dtype=bool)
+    repeat[first] = False
+    bad = (lo == hi) | out | active | repeat
+    if bad.any():
+        # the first offender, in candidate order, with the checks in this order
+        e = candidates[int(np.argmax(bad))]
         c = canonical_edge(*e)
-        if c.lo < 0 or c.hi >= model.n_vars:
-            raise ValueError(f"candidate {tuple(e)} is out of range for {model.n_vars} variables")
-        if c in active:
+        if c.lo < 0 or c.hi >= V:
+            raise ValueError(f"candidate {tuple(e)} is out of range for {V} variables")
+        if c in model.edges:
             raise ValueError(f"candidate {tuple(e)} is already active")
-        if c in pool:
-            raise ValueError(f"duplicate candidate {tuple(e)}")
-        pool.add(c)
-    candidates = sorted(pool)
-    if not 0 <= k <= len(candidates):
-        raise ValueError(f"k must be in [0, {len(candidates)}], got {k}")
+        raise ValueError(f"duplicate candidate {tuple(e)}")
+    if not 0 <= k <= codes.size:
+        raise ValueError(f"k must be in [0, {codes.size}], got {k}")
     if k == 0:
         return []
-    gains = tables_for(model, ds).addition_gains(model.weight_vector(), candidates)
-    scored = sorted(zip(candidates, gains.tolist()), key=lambda s: (-s[1], s[0]))
-    return scored[:k]
+    pairs = np.stack([codes // V, codes % V], axis=1)  # canonical and sorted
+    gains = tables_for(model, ds).addition_gains(model.weight_vector(), pairs)
+    best = np.lexsort((codes, -gains))[:k]  # descending gain, ties by edge
+    return [(Edge(int(a), int(b)), float(g)) for (a, b), g in zip(pairs[best], gains[best])]
 
 
 def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:

@@ -1,8 +1,9 @@
 """Markov-blanket tables against the row-based reference evaluators, and the
-integer-keyed grouping, the CSC ``ones`` counts, the compacted Newton search
-and the tables carried across an exchange against their slow exact
-references (void-key grouping, per-row addition, the full-width Newton loop,
-a build with nothing to carry), byte for byte.
+code-bucket and integer-keyed grouping (on both sides of the key width where
+one gives way to the other), the ``ones`` counts summed over the nonzeros,
+the compacted Newton search and the tables carried across an exchange
+against their slow exact references (void-key grouping, per-row addition,
+the full-width Newton loop, a build with nothing to carry), byte for byte.
 
 Tolerances are fixed from float64 rounding on at most a few hundred rows:
 1e-12 for PLL values, gradients and deletion deltas (all of order 1 per
@@ -22,6 +23,7 @@ from forced_pruning import (
     DataSet,
     Edge,
     PairwiseModel,
+    chow_liu_tree,
     complete_edges,
     edge_deletion_scores,
     greedy_add,
@@ -30,7 +32,9 @@ from forced_pruning import (
     pll_gradient,
     pll_without_edges,
 )
+from forced_pruning import blanket
 from forced_pruning.blanket import BlanketTables, tables_for
+from forced_pruning.dataset import unique_keys
 
 from conftest import full_width_gains, random_dataset, void_key_tables
 
@@ -71,6 +75,27 @@ def wide_blankets(draw):
     model = PairwiseModel(n_vars, rng.normal(size=n_vars), edges,
                           rng.normal(0, 0.2, size=len(edges)))
     return model, DataSet(X.astype(np.float64))
+
+
+@st.composite
+def keys_at_the_fork(draw, ratio):
+    """A hub joined to ``width - 1`` others, over rows with exactly U distinct
+    patterns, where 2**width == ratio * U: the hub's key sits at, below or
+    above the width where grouping switches from code buckets to sorting."""
+    width = draw(st.integers(2, 7))
+    n_unique = int(2**width / ratio)
+    n_vars = width + 1 + draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(2**n_vars, n_unique, replace=False)
+    patterns = (codes[:, None] >> np.arange(n_vars)) & 1
+    X = patterns[np.concatenate([np.arange(n_unique), rng.integers(n_unique, size=n_unique)])]
+    edges = {Edge(0, j) for j in range(1, width)}
+    edges |= {e for e in complete_edges(n_vars) if e.lo > 0 and rng.random() < 0.2}
+    edges = tuple(sorted(edges))
+    model = PairwiseModel(n_vars, rng.normal(size=n_vars), edges,
+                          rng.normal(0, 0.5, size=len(edges)))
+    return model, DataSet(X[rng.permutation(X.shape[0])].astype(np.float64))
 
 
 @st.composite
@@ -128,6 +153,25 @@ def check_gains_against_full_width(model, ds, tables):
     theta = model.weight_vector()
     got = tables.addition_gains(theta, pool)
     assert got.tobytes() == full_width_gains(tables, theta, pool).tobytes()
+
+
+def check_exchanges(shared, structures):
+    """Tables for each structure in turn, built while the last ones are held,
+    against a build on an unpickled copy (no slot) and the void-key
+    reference, byte for byte. Each predecessor's ``ones`` is computed only
+    after its successor was built, so nothing of ``ones`` carries over."""
+    clone = pickle.loads(pickle.dumps(shared))
+    names = GROUP_ARRAYS + ("ones",)
+    held = None
+    for edges in structures:
+        tables = tables_for(PairwiseModel.zeros(shared.n_vars, edges), shared)
+        if held is not None:
+            assert_same_bytes(table_arrays(held[0], names), held[1])
+        fresh = BlanketTables(clone, edges)
+        ref = void_key_tables(shared, edges)
+        assert_same_bytes(table_arrays(fresh, names), ref)
+        held = tables, table_arrays(fresh, names)
+    assert_same_bytes(table_arrays(held[0], names), held[1])
 
 
 def brent_gain(model, ds, e):
@@ -205,6 +249,30 @@ class TestAgainstSlowExactPaths:
         tables = check_against_void_keys(*case)
         check_gains_against_full_width(*case, tables)
 
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_grouping_at_the_fork(self, ratio, data):
+        model, ds = data.draw(keys_at_the_fork(ratio))
+        width = 1 + sum(0 in e for e in model.edges)
+        assert 2**width == ratio * ds.compressed()[0].shape[0]
+        tables = check_against_void_keys(model, ds)
+        check_gains_against_full_width(model, ds, tables)
+
+    def test_plants_sized_chow_liu_build_never_sorts_keys(self, rng, monkeypatch):
+        # every Chow-Liu blanket key is narrow against about 8000 unique rows
+        ds = random_dataset(rng, 69, 8000, p=0.3)
+        tree = chow_liu_tree(ds)
+        sorts = []
+
+        def counting(*args, **kwargs):
+            sorts.append(args[0].shape)
+            return unique_keys(*args, **kwargs)
+
+        monkeypatch.setattr(blanket, "unique_keys", counting)
+        tables = BlanketTables(ds, tree)
+        assert sorts == [] and tables.n_groups < ds.compressed()[0].shape[0]
+
     def test_plants_sized_structure(self, rng):
         # many open candidates over many Newton steps, as in the pruning loop
         ds = random_dataset(rng, 40, 600, p=0.3)
@@ -273,6 +341,16 @@ class TestSpecialCases:
         check_pll_and_gradient(model, ds)
         check_deletions(model, ds)
         check_additions(model, ds)
+        check_against_void_keys(model, ds)
+        check_exchanges(ds, [edges, (Edge(0, 2), Edge(1, 3), Edge(2, 4)), edges])
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_constant_dataset(self, rng, value):
+        # one unique row; with value 0 the rows have no nonzero entry at all
+        ds = DataSet(np.full((30, 5), value))
+        edges = (Edge(0, 1), Edge(1, 2), Edge(3, 4))
+        check_against_void_keys(PairwiseModel.zeros(5, edges), ds)
+        check_exchanges(ds, [edges, (Edge(0, 2), Edge(1, 2), Edge(3, 4)), complete_edges(5)])
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_deterministic_pair_optimum_at_bound(self, rng, sign):

@@ -5,6 +5,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,12 @@ class TestModelFile:
         ("n_vars 3\nnodes 0 0 0\nedges 2\n2 1 0.5\n0 1 0.5\n", 5, "not canonical for 3"),
         ("n_vars 3\nnodes 0 0 0\nedges 3\n0 1 0.5\n0 1 0.5\n1 2 0.5\n", 6, "duplicate edge"),
         ("n_vars 3\nnodes 0 0 0\nedges 2\n0 2 inf\n0 1 0.5\n", 5, "not finite"),
+        ("n_vars 2\nnodes 0 0\nedges 1\n0 1 0.5\ntying 2\nassignment 0 0 1 1\nmeans 0.5 0.1\n", 7,
+         "assignment covers 4 parameters, model has 3"),
+        ("n_vars 2\nnodes 0 0\nedges 1\n0 1 0.5\ntying 2\nassignment 0 0 5\nmeans 0.5 0.1\n", 7,
+         re.escape("cluster ids must lie in [0, n_clusters)")),
+        ("n_vars 2\nnodes 0 0\nedges 1\n0 1 0.5\ntying 2\nassignment 0 0 1\nmeans 0.5\n", 8,
+         re.escape("means must have shape (2,)")),
     ])
     def test_bad_line_is_named_where_it_is_read(self, tmp_path, body, line, message):
         path = tmp_path / "m.txt"
