@@ -3,18 +3,19 @@
 The learner keeps exactly M = n_vars - 1 + extra_edges edges active at all
 times. It starts from the Chow-Liu tree plus random extra edges, then
 repeatedly refits parameters (with tying), drops the k weakest edges, and
-adds the k most promising edges from the inactive pool. Each iteration
-holds the Markov-blanket tables of the current structure
-(:mod:`forced_pruning.blanket`), so the fits, the deletion heuristic and the
-addition scoring all get that one build for their (dataset, edge set).
+adds the k most promising edges from the inactive pool, all tracked as one
+boolean mask over the edge codes lo*V + hi. Each iteration holds the
+Markov-blanket tables of the current structure (:mod:`forced_pruning.blanket`),
+so the fits, the deletion heuristic and the addition scoring all get that one
+build for their (dataset, edge set).
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .blanket import tables_for
 from .chowliu import chow_liu_tree
 from .dataset import DataSet
-from .model import Edge, PairwiseModel, canonical_edge, complete_edges
+from .model import Edge, PairwiseModel, canonical_edge
 from .param_learn import FitOptions, TyingPartition, learn_params_with_apt
 
 logger = logging.getLogger(__name__)
@@ -154,22 +155,37 @@ def rejection_sample_delete(
         raise ValueError("cap must be >= 1")
     if k == 0:
         return RejectionOutcome(frozenset(), 0, False)
-    edges = sorted(model.edges)
-    index = {e: j for j, e in enumerate(model.edges)}
+    # positions in the order of their edges, so the draws follow the edges
+    order = sorted(range(len(model.edges)), key=model.edges.__getitem__)
     score = tables_for(model, ds).subset_scorer(model.weight_vector())
     for proposals in range(1, cap + 1):
-        subset = _draw_subset(edges, k, rng)
+        subset = _draw_subset(order, k, rng)
         u = rng.random()
-        if u <= np.exp(score([index[e] for e in subset])):
-            return RejectionOutcome(frozenset(subset), proposals, False)
+        if u <= np.exp(score(subset)):
+            return RejectionOutcome(frozenset(model.edges[j] for j in subset), proposals, False)
     logger.info("no proposal accepted within cap %d, falling back to greedy deletion", cap)
     return RejectionOutcome(frozenset(greedy_delete(model, ds, k)), cap, True)
+
+
+def _endpoints(candidates) -> np.ndarray:
+    """The candidates as an (n, 2) int64 array; a non-pair is a ValueError."""
+    if (isinstance(candidates, np.ndarray) and candidates.dtype.kind in "iu"
+            and candidates.shape[1:] == (2,)):
+        return candidates.astype(np.int64, copy=False)  # codes lo*V + hi must not wrap
+    pairs = []
+    for e in candidates:
+        try:
+            i, j = e
+            pairs.append((operator.index(i), operator.index(j)))
+        except (TypeError, ValueError):
+            raise ValueError(f"candidate {e!r} is not a pair of integers") from None
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def greedy_add(
     model: PairwiseModel,
     ds: DataSet,
-    candidates: Iterable[Edge],
+    candidates: Iterable[Edge] | np.ndarray,
     k: int,
 ) -> list[tuple[Edge, float]]:
     """The k inactive edges whose addition gains the most PLL.
@@ -178,13 +194,12 @@ def greedy_add(
     of pll(model + candidate at w) - pll(model), all existing weights
     frozen. Gains are >= 0 because w = 0 recovers the unmodified model.
     Returns (edge, gain) pairs sorted by descending gain, ties lexicographic.
-    Candidates are canonicalized; an active, repeated or out-of-range one is
-    a ValueError.
+    ``candidates`` is an iterable of pairs or an (n, 2) integer array, read
+    in place when int64. Candidates are canonicalized; one that is not a
+    pair of integers, or is active, repeated or out of range, is a ValueError.
     """
-    candidates = list(candidates)
+    ends = _endpoints(candidates)
     V = model.n_vars
-    ends = np.fromiter(chain.from_iterable(candidates), dtype=np.int64,
-                       count=2 * len(candidates)).reshape(-1, 2)
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     out = (lo < 0) | (hi >= V)
     code = np.where(out, 0, lo * V + hi)  # code 0 is (0, 0), never an edge
@@ -195,13 +210,13 @@ def greedy_add(
     bad = (lo == hi) | out | active | repeat
     if bad.any():
         # the first offender, in candidate order, with the checks in this order
-        e = candidates[int(np.argmax(bad))]
+        e = tuple(ends[int(np.argmax(bad))].tolist())
         c = canonical_edge(*e)
         if c.lo < 0 or c.hi >= V:
-            raise ValueError(f"candidate {tuple(e)} is out of range for {V} variables")
+            raise ValueError(f"candidate {e} is out of range for {V} variables")
         if c in model.edges:
-            raise ValueError(f"candidate {tuple(e)} is already active")
-        raise ValueError(f"duplicate candidate {tuple(e)}")
+            raise ValueError(f"candidate {e} is already active")
+        raise ValueError(f"duplicate candidate {e}")
     if not 0 <= k <= codes.size:
         raise ValueError(f"k must be in [0, {codes.size}], got {k}")
     if k == 0:
@@ -212,6 +227,11 @@ def greedy_add(
     return [(Edge(int(a), int(b)), float(g)) for (a, b), g in zip(pairs[best], gains[best])]
 
 
+def _pairs(codes: np.ndarray, V: int) -> np.ndarray:
+    """The (n, 2) endpoints of the edge codes lo*V + hi, in the codes' order."""
+    return np.column_stack(np.divmod(codes, V))
+
+
 def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
     """Learn a pairwise model of exactly M edges by iterative edge exchange.
 
@@ -220,36 +240,32 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
     parameters with tying (warm-started from the surviving weights), removes
     ``exchange_size`` edges by the configured heuristic, and adds the same
     number of edges greedily from the inactive pool; the last iteration only
-    fits, so its record has empty ``deleted`` and ``added``. The active set
-    and the pool partition the complete edge set throughout. Returns the
-    iteration with the lowest training negative PLL.
+    fits, so its record has empty ``deleted`` and ``added``. The structure is
+    a boolean mask over the edge codes lo*V + hi and the pool is its
+    complement in the upper triangle, so an exchange flips the mask at 2k
+    codes. Returns the iteration with the lowest training negative PLL.
     """
     V = train.n_vars
-    all_edges = complete_edges(V)
+    n_edges = V * (V - 1) // 2
     M = V - 1 + config.extra_edges
     k = config.exchange_size
-    if M > len(all_edges):
-        raise ValueError(
-            f"budget {M} exceeds the {len(all_edges)} edges of the complete graph"
-        )
+    if M > n_edges:
+        raise ValueError(f"budget {M} exceeds the {n_edges} edges of the complete graph")
     if k > M:
         raise ValueError(f"exchange_size {k} exceeds the edge budget {M}")
-    if k > len(all_edges) - M:
-        raise ValueError(
-            f"exchange_size {k} exceeds the {len(all_edges) - M} inactive edges"
-        )
+    if k > n_edges - M:
+        raise ValueError(f"exchange_size {k} exceeds the {n_edges - M} inactive edges")
 
     rng = np.random.default_rng(config.seed)
-    tree = chow_liu_tree(train)
-    pool = sorted(set(all_edges) - set(tree))
-    extra = _draw_subset(pool, M - len(tree), rng)
-    active = sorted(tree + extra)
-    pool = sorted(set(pool) - set(extra))
+    upper = np.triu(np.ones((V, V), dtype=bool), 1).ravel()
+    active = np.zeros(V * V, dtype=bool)
+    active[[lo * V + hi for lo, hi in chow_liu_tree(train)]] = True
+    active[_draw_subset(np.flatnonzero(upper & ~active), config.extra_edges, rng)] = True
+    pool = _pairs(np.flatnonzero(upper & ~active), V)
 
-    model = PairwiseModel.zeros(V, active)
+    model = PairwiseModel.zeros(V, _pairs(np.flatnonzero(active), V))
     c = min(config.apt_clusters, model.n_params)
-    best = None
-    records = []
+    best, records = None, []
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         tables = tables_for(model, train)  # held, so every step below reuses it
@@ -258,37 +274,25 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
         if best is None or neg < best[0]:
             best = (neg, model, partition, it)
 
-        proposals, fell_back = 0, False
+        deleted, added, proposals, fell_back = set(), [], 0, False
         # the last iteration's exchange would never be fitted or scored
         if k > 0 and it < config.max_iter:
             if config.heuristic == "greedy":
                 deleted = greedy_delete(model, train, k)
             else:
-                outcome = rejection_sample_delete(model, train, k, rng, config.rejection_cap)
-                deleted = set(outcome.edges)
-                proposals, fell_back = outcome.proposals, outcome.fell_back
+                deleted, proposals, fell_back = rejection_sample_delete(
+                    model, train, k, rng, config.rejection_cap)
             added = [e for e, _ in greedy_add(model, train, pool, k)]
-            active = sorted(set(active) - deleted | set(added))
-            pool = sorted(set(pool) - set(added) | deleted)
-            carried = dict(zip(model.edges, model.edge_weights))
+            active[[lo * V + hi for lo, hi in (*deleted, *added)]] ^= True
+            codes, pool = np.flatnonzero(active), _pairs(np.flatnonzero(upper & ~active), V)
             model = PairwiseModel(
-                V,
-                model.node_weights,
-                tuple(active),
-                np.array([carried.get(e, 0.0) for e in active]),
+                V, model.node_weights, _pairs(codes, V), model.weight_matrix().ravel()[codes]
             )
-        else:
-            deleted, added = set(), []
 
         records.append(IterationRecord(
-            iteration=it,
-            train_neg_pll=neg,
-            deleted=tuple(sorted(deleted)),
-            added=tuple(added),
-            proposals=proposals,
-            fell_back=fell_back,
-            active_edges=tuple(active),
-            pool_edges=tuple(pool),
+            iteration=it, train_neg_pll=neg, deleted=tuple(sorted(deleted)),
+            added=tuple(added), proposals=proposals, fell_back=fell_back,
+            active_edges=model.edges, pool_edges=tuple(map(Edge._make, pool.tolist())),
             seconds=time.perf_counter() - t0,
         ))
         logger.info(
@@ -297,10 +301,5 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
             " (rejection fell back to greedy)" if fell_back else "",
         )
 
-    _, best_model, best_partition, best_it = best
-    return PruningResult(
-        model=best_model,
-        partition=best_partition,
-        iterations=tuple(records),
-        best_iteration=best_it,
-    )
+    _, model, partition, it = best
+    return PruningResult(model, partition, tuple(records), it)

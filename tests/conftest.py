@@ -1,8 +1,9 @@
 """Shared test helpers: synthetic models, exact enumeration, slow exact references
-for the vectorized fast paths, benchmark data."""
+for the vectorized fast paths and for the whole exchange loop, benchmark data."""
 
 import math
 import os
+from typing import NamedTuple
 
 # pin BLAS threading before numpy loads so float reductions are reproducible
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -11,8 +12,21 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from forced_pruning import DataSet, Edge, PairwiseModel, complete_edges, pll
+from forced_pruning import (
+    DataSet,
+    Edge,
+    IterationRecord,
+    PairwiseModel,
+    chow_liu_tree,
+    complete_edges,
+    learn_params_with_apt,
+    pll,
+    pll_without_edges,
+)
+from forced_pruning.model import logits
+from forced_pruning.structure import _draw_subset
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # subprocesses such as `python -m forced_pruning` import this checkout's package
@@ -289,3 +303,118 @@ def mi_from_counts(n00, n01, n10, n11):
         if cell > 0:
             mi += (cell / n) * math.log(cell * n / (row * col))
     return max(mi, 0.0)
+
+
+# End-to-end reference for the exchange loop of forced_pruning.
+
+REF_TIE = 1e-9  # reference scores this close may rank either way in the fast path
+
+
+class ReferenceRun(NamedTuple):
+    """What reference_forced_pruning did. ``negs`` has each fitted
+    iteration's train neg PLL. ``tie`` is the iteration whose exchange
+    rested on scores within REF_TIE of each other: the run stopped there, so
+    ``records`` ends before it. ``best`` holds the iterations the loop may
+    return: the first iteration of each fitted model (edges and weight
+    bytes) whose neg PLL lies within REF_TIE (relative) of the lowest; it is
+    empty after a tie."""
+
+    records: list
+    negs: list
+    best: tuple
+    tie: int | None
+
+
+def _log_sigmoid(y):
+    return -np.logaddexp(0.0, -y)
+
+
+def _row_addition_gain(ds, model, edge, bound=30.0):
+    """Best PLL gain of adding ``edge`` at one weight in [-bound, bound], by a
+    bounded scalar search on the row-based logits (only the conditionals of
+    the edge's two endpoints change)."""
+    rows, counts = ds.compressed()
+    z = logits(model, rows)
+    a, b = edge
+    t = 2.0 * rows - 1.0
+    before = _log_sigmoid(t[:, a] * z[:, a]) + _log_sigmoid(t[:, b] * z[:, b])
+
+    def gain(w):
+        after = (_log_sigmoid(t[:, a] * (z[:, a] + w * rows[:, b]))
+                 + _log_sigmoid(t[:, b] * (z[:, b] + w * rows[:, a])))
+        return float(counts @ (after - before)) / ds.n_instances
+
+    res = minimize_scalar(lambda w: -gain(w), bounds=(-bound, bound),
+                          method="bounded", options={"xatol": 1e-10})
+    return max(0.0, -res.fun, gain(bound), gain(-bound))
+
+
+def _pick(scored, k, order_matters):
+    """The k lowest (score, edge) pairs, ties by edge, and whether scores
+    within REF_TIE decide which k are picked (or, if ``order_matters``, in
+    which order)."""
+    scored = sorted(scored)
+    s = [score for score, _ in scored]
+    pairs = [(k - 1, k)] if len(s) > k else []
+    if order_matters:
+        pairs += [(i, i + 1) for i in range(k - 1)]
+    tie = any(abs(s[i] - s[j]) <= REF_TIE for i, j in pairs)
+    return [e for _, e in scored[:k]], tie
+
+
+def reference_forced_pruning(ds, config) -> ReferenceRun:
+    """forced_pruning the slow way: the active set and the pool are plain
+    sets of edges and the weights a dict; deletion scores are row-based
+    ``pll - pll_without_edges``, rejection proposals are scored by
+    ``pll_without_edges``, and additions by ``_row_addition_gain``. The fits,
+    the Chow-Liu tree and every RNG draw (the extra edges, each proposal and
+    its uniform, the greedy fallback at the cap) are the same as the loop's."""
+    V, k = ds.n_vars, config.exchange_size
+    M = V - 1 + config.extra_edges
+    rng = np.random.default_rng(config.seed)
+    tree = chow_liu_tree(ds)
+    pool = set(complete_edges(V)) - set(tree)
+    extra = _draw_subset(sorted(pool), M - len(tree), rng)
+    active, pool = set(tree) | set(extra), pool - set(extra)
+    node, weights = np.zeros(V), {}
+    c = min(config.apt_clusters, V + M)
+    records, negs, states = [], [], {}
+    for it in range(1, config.max_iter + 1):
+        edges = sorted(active)
+        model = PairwiseModel(V, node, edges, [weights.get(e, 0.0) for e in edges])
+        model, _ = learn_params_with_apt(model, ds, c, config.fit)
+        node, weights = model.node_weights, dict(zip(model.edges, model.edge_weights))
+        base = pll(model, ds)
+        negs.append(-base)
+        states.setdefault((model.edges, model.weight_vector().tobytes()), it)
+        deleted, added, proposals, fell_back, tie = [], [], 0, False, False
+        if k > 0 and it < config.max_iter:
+            if config.heuristic == "rejection":
+                for proposals in range(1, config.rejection_cap + 1):
+                    subset = _draw_subset(edges, k, rng)
+                    bar = math.exp(pll_without_edges(model, ds, subset))
+                    u = rng.random()
+                    tie |= abs(u - bar) <= REF_TIE
+                    if u <= bar:
+                        deleted = subset
+                        break
+                else:
+                    fell_back = True
+            if not deleted:
+                scored = [(base - pll_without_edges(model, ds, [e]), e) for e in edges]
+                deleted, near = _pick(scored, k, order_matters=False)
+                tie |= near
+            scored = [(-_row_addition_gain(ds, model, e), e) for e in sorted(pool)]
+            added, near = _pick(scored, k, order_matters=True)
+            if tie or near:
+                return ReferenceRun(records, negs, (), it)
+            active = active - set(deleted) | set(added)
+            pool = pool - set(added) | set(deleted)
+        records.append(IterationRecord(
+            iteration=it, train_neg_pll=-base, deleted=tuple(sorted(deleted)),
+            added=tuple(added), proposals=proposals, fell_back=fell_back,
+            active_edges=tuple(sorted(active)), pool_edges=tuple(sorted(pool)),
+            seconds=0.0))
+    low = min(negs)
+    best = tuple(it for it in states.values() if negs[it - 1] - low <= REF_TIE * low)
+    return ReferenceRun(records, negs, best, None)

@@ -199,8 +199,11 @@ class TestRunSingle:
         rows = read_csv(out / "report.csv")
         assert [r["split"] for r in rows] == ["train"]
         assert float(rows[0]["neg_pll"]) == pytest.approx(-pll(model, ds), abs=1e-9)
-        log = [json.loads(line) for line in (out / "iterations.jsonl").open()]
+        lines = (out / "iterations.jsonl").read_text().splitlines()
+        log = [json.loads(line) for line in lines]
         assert [r["iteration"] for r in log] == [1, 2]
+        assert [json.dumps(r) for r in log] == lines  # each line round-trips
+        assert [r["n_active"] + r["n_pool"] for r in log] == [6, 6]
 
     def test_all_splits_reported(self, data_file, tmp_path, rng):
         valid = write_data_file(tmp_path / "v.data", (rng.random((30, 4)) < 0.5).astype(int))

@@ -1,4 +1,5 @@
-"""Edge scoring, deletion heuristics, greedy addition, and the full loop."""
+"""Edge scoring, deletion heuristics, greedy addition, and the full loop, also
+against the slow reference loop of conftest."""
 
 import gc
 import pickle
@@ -7,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from forced_pruning import (
     Edge,
@@ -27,7 +30,13 @@ from forced_pruning import (
 from forced_pruning import blanket, structure
 from forced_pruning.blanket import BlanketTables, tables_for
 
-from conftest import make_dataset, random_dataset, random_model, sample_dataset
+from conftest import (
+    make_dataset,
+    random_dataset,
+    random_model,
+    reference_forced_pruning,
+    sample_dataset,
+)
 
 
 class TestEdgeDeletionScores:
@@ -118,6 +127,15 @@ class TestRejectionSampleDelete:
         assert out.proposals == 1
         assert out.edges == frozenset(greedy_delete(model, ds, 3))
 
+    def test_edge_order_does_not_change_the_draws(self, rng):
+        model = random_model(rng, 6, 7, edge_scale=0.3)
+        ds = random_dataset(rng, 6, 50)
+        shuffled = PairwiseModel(6, model.node_weights, model.edges[::-1], model.edge_weights[::-1])
+        for seed in range(20):
+            a = rejection_sample_delete(model, ds, 3, np.random.default_rng(seed), cap=50)
+            b = rejection_sample_delete(shuffled, ds, 3, np.random.default_rng(seed), cap=50)
+            assert a == b
+
     def test_rejects_bad_arguments(self, rng):
         model = random_model(rng, 3, 2)
         ds = random_dataset(rng, 3, 10)
@@ -184,9 +202,39 @@ class TestGreedyAdd:
         for bad in ((0, 9), (-1, 2)):
             with pytest.raises(ValueError, match=re.escape(f"candidate {bad} is out of range")):
                 greedy_add(model, ds, [(2, 3), bad], 1)
+        for bad, offender in (([(0, 2, 4), (1, 3)], (0, 2, 4)), ([(0, 2, 4)], (0, 2, 4)),
+                              ([(0, 2), (1,)], (1,)), ([(0, 2), 3], 3),
+                              ([(0, 2.0)], (0, 2.0)), (np.array([[0, 2, 3]]), np.array([0, 2, 3])),
+                              (np.array([[0.0, 2.0]]), np.array([0.0, 2.0]))):
+            message = f"candidate {offender!r} is not a pair"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                greedy_add(model, ds, bad, 1)
         reversed_out = greedy_add(model, ds, [(3, 2), (2, 0)], 2)
         assert reversed_out == greedy_add(model, ds, [Edge(0, 2), Edge(2, 3)], 2)
         assert all(type(e) is Edge for e, _ in reversed_out)
+
+    def test_array_candidates_match_pairs(self, rng):
+        model = PairwiseModel(4, np.zeros(4), (Edge(0, 1),), np.array([0.8]))
+        ds = random_dataset(rng, 4, 30)
+        pairs = [(3, 2), (2, 0), (1, 3), (0, 3)]
+        for dtype in (np.int64, np.int32, np.uint8):
+            got = greedy_add(model, ds, np.array(pairs, dtype=dtype), 3)
+            assert got == greedy_add(model, ds, pairs, 3)
+        # codes lo*V + hi past 255 must not wrap in a narrow dtype
+        wide = random_model(rng, 20, 5)
+        ds20 = random_dataset(rng, 20, 40)
+        pairs = [e for e in complete_edges(20) if e.lo >= 12 and e not in wide.edges]
+        assert (greedy_add(wide, ds20, np.array(pairs, dtype=np.uint8), 4)
+                == greedy_add(wide, ds20, pairs, 4))
+        # the first offender is named in plain ints, as for pairs
+        for bad, message in (([[2, 3], [0, 9]], "candidate (0, 9) is out of range"),
+                             ([[2, 3], [1, 0]], "candidate (1, 0) is already active"),
+                             ([[2, 3], [3, 2]], "duplicate candidate (3, 2)"),
+                             ([[2, 2]], "edge endpoints must differ, got (2, 2)")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                greedy_add(model, ds, np.array(bad), 1)
+        ends = np.array(pairs)
+        assert structure._endpoints(ends) is ends  # read in place, not copied
 
     def test_rejects_k_too_large(self, rng):
         model = random_model(rng, 3, 1)
@@ -207,6 +255,19 @@ class TestForcedPruning:
             assert len(rec.active_edges) == M
             assert not active & pool
             assert active | pool == everything
+
+    @pytest.mark.parametrize("heuristic", ["greedy", "rejection"])
+    def test_records_hold_sorted_edges_of_python_ints(self, rng, heuristic):
+        ds = random_dataset(rng, 7, 80)
+        cfg = PruningConfig(extra_edges=4, exchange_size=3, heuristic=heuristic,
+                            max_iter=4, seed=2, rejection_cap=20)
+        for rec in forced_pruning(ds, cfg).iterations:
+            for edges in (rec.deleted, rec.added, rec.active_edges, rec.pool_edges):
+                assert all(type(e) is Edge and type(e.lo) is int and type(e.hi) is int
+                           for e in edges)
+            assert list(rec.active_edges) == sorted(rec.active_edges)
+            assert list(rec.pool_edges) == sorted(rec.pool_edges)
+            assert type(rec.train_neg_pll) is float
 
     def test_exchange_moves_exactly_k_edges(self, rng):
         ds = random_dataset(rng, 5, 60)
@@ -291,6 +352,56 @@ class TestForcedPruning:
         # V=3: complete graph has 3 edges, tree 2, pool 1 -> k=2 impossible
         with pytest.raises(ValueError, match="exchange_size"):
             forced_pruning(ds, PruningConfig(extra_edges=0, exchange_size=2, max_iter=1))
+
+
+@st.composite
+def pruning_cases(draw):
+    """4-8 variables over 30-300 rows, each variable copying an earlier one
+    on a random share of the rows, and a config with any budget and
+    exchange size the graph allows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V, n = draw(st.integers(4, 8)), draw(st.integers(30, 300))
+    X = rng.random((n, V)) < rng.uniform(0.2, 0.8, V)
+    for j in range(1, V):
+        copied = rng.random(n) < rng.uniform(0.0, 0.8)
+        X[copied, j] = X[copied, rng.integers(j)]
+    n_edges = V * (V - 1) // 2
+    m = draw(st.integers(0, n_edges - (V - 1)))
+    M = V - 1 + m
+    config = PruningConfig(
+        extra_edges=m,
+        exchange_size=draw(st.integers(0, min(M, n_edges - M, 4))),
+        heuristic=draw(st.sampled_from(["greedy", "rejection"])),
+        max_iter=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**16)),
+        apt_clusters=draw(st.sampled_from([2, 4, 16])),
+        rejection_cap=draw(st.sampled_from([1, 30, 300])),
+    )
+    return make_dataset(X.astype(int).tolist()), config
+
+
+class TestAgainstReference:
+    """The loop against ``reference_forced_pruning``: every record, the best
+    iteration and the neg PLLs, up to the first exchange that rests on a
+    near tie of the reference's scores."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pruning_cases())
+    def test_matches_the_slow_loop(self, case):
+        ds, config = case
+        ref = reference_forced_pruning(ds, config)
+        result = forced_pruning(ds, config)
+        if ref.tie is not None:
+            event("stopped at a near tie")
+        for got, neg in zip(result.iterations, ref.negs):
+            assert got.train_neg_pll == pytest.approx(neg, rel=1e-12, abs=0.0)
+        for got, want in zip(result.iterations, ref.records):
+            assert got._replace(train_neg_pll=0.0, seconds=0.0) == want._replace(train_neg_pll=0.0)
+        assert len(ref.records) == (config.max_iter if ref.tie is None else ref.tie - 1)
+        if ref.tie is None:
+            assert result.best_iteration in ref.best
+            assert -pll(result.model, ds) == pytest.approx(
+                ref.negs[result.best_iteration - 1], rel=1e-12, abs=0.0)
 
 
 @pytest.fixture
