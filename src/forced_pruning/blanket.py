@@ -12,14 +12,12 @@ are unique rows, and a sparse structure has far fewer: the plants Chow-Liu
 tree has about 500 groups in all against about 8000 unique rows per
 variable.
 
-Groups are keyed by the variable and its blanket, packed by shift-or from a
-column-major uint8 copy of the compressed rows, first column most
-significant. A key of at most log2(unique rows) columns is one code per row,
-and the rows are grouped without a sort: by marking the codes present in a
-table of all codes, numbering them by a running count, and taking each
-group's first row by ``np.minimum.at``. A wider key is packed into 64-bit
-words and grouped by ``np.unique``. So grouping is exact at any blanket
-size, and the group order is the lexicographic row order.
+Groups are keyed by the variable and its blanket, and grouped by
+:func:`dataset.group_rows`, the routine that also deduplicates the rows of
+a dataset, on a column-major uint8 copy of the compressed rows: without a
+sort for a key of at most log2(unique rows) columns, by a stable lexsort
+beyond. So grouping is exact at any blanket size, and the group order is
+the lexicographic row order.
 
 A variable's groups depend only on (dataset, variable, blanket), and an
 exchange of k edges changes at most 2k blankets. Tables built while the last
@@ -47,7 +45,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .dataset import DataSet, unique_keys
+from .dataset import DataSet, group_rows
 
 ADD_WEIGHT_BOUND = 30.0
 _NEWTON_STEPS = 100
@@ -108,7 +106,7 @@ class BlanketTables:
                 if prev_ones is not None:
                     self._carried_ones[v] = prev_ones[lo:hi]
             else:
-                first, inv = _group(self._columns, key)
+                first, inv = group_rows(self._columns, key)
                 count = np.bincount(inv, weights=weights)
             reps.append(first)
             counts.append(count)
@@ -276,35 +274,6 @@ class BlanketTables:
         change = s * (_log_sigmoid(tg * (zg + w[cand])) - _log_sigmoid(tg * zg))
         gains = np.bincount(cand, weights=change, minlength=n) / self.n_instances
         return np.maximum(gains, 0.0)
-
-
-def _group(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows by their ``key`` columns: the first row of each group,
-    and the int32 group of every row.
-
-    ``columns`` is the column-major 0/1 copy of the compressed rows. Every
-    64 key columns are packed into one word by shift-or, the first column
-    most significant, so key order is the lexicographic row order. A key of
-    at most log2(rows) columns is grouped by marking its codes in a table of
-    all 2**len(key) codes, a wider one by ``np.unique``.
-    """
-    n = columns.shape[1]
-    words = np.zeros((-(-len(key) // 64), n), dtype=np.uint64)
-    for i, c in enumerate(key):
-        word = words[i // 64]
-        word <<= 1
-        word |= columns[c]
-    if 2 ** len(key) <= n:
-        code = words[0].view(np.int64)
-        present = np.zeros(2 ** len(key), dtype=bool)
-        present[code] = True
-        ids = np.cumsum(present, dtype=np.int32)
-        inv = ids[code] - 1
-        first = np.full(ids[-1], n, dtype=np.intp)
-        np.minimum.at(first, inv, np.arange(n))
-        return first, inv
-    _, first, inv = unique_keys(words.T, return_index=True, return_inverse=True)
-    return first, inv.ravel().astype(np.int32)
 
 
 def tables_for(model, ds: DataSet) -> BlanketTables:

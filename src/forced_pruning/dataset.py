@@ -1,4 +1,5 @@
-"""Binary datasets: loading, validation and the deduplicated rows.
+"""Binary datasets: loading, validation, and the row grouping behind the
+deduplicated rows and the Markov-blanket tables.
 
 Datasets are plain text, one instance per line, 0/1 tokens separated by
 commas (the distribution format of the standard density-estimation
@@ -12,6 +13,7 @@ import io
 import os
 import weakref
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +27,8 @@ class DataSet:
     """Immutable table of binary instances.
 
     Attributes:
-        X: (n_instances, n_vars) float64 array with entries 0.0/1.0,
-           marked read-only after construction.
+        X: (n_instances, n_vars) C-contiguous uint8 array of 0/1 entries in
+           the given row order; the dataset's own read-only copy of the input.
         name: label used in reports.
     """
 
@@ -36,7 +38,7 @@ class DataSet:
     _cache: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        X = np.ascontiguousarray(self.X, dtype=np.float64)
+        X = np.asarray(self.X)
         if X.ndim != 2:
             raise ValueError(f"instances must form a 2-D array, got ndim={X.ndim}")
         n, v = X.shape
@@ -44,8 +46,10 @@ class DataSet:
             raise ValueError(f"need at least 2 variables, got {v}")
         if n < 1:
             raise ValueError("need at least 1 instance")
-        if not ((X == 0.0) | (X == 1.0)).all():
+        # checked before the cast, which would wrap 256 to 0 and truncate 1.5 to 1
+        if not ((X == 0) | (X == 1)).all():
             raise ValueError("instance entries must be 0 or 1")
+        X = np.array(X, dtype=np.uint8, order="C")  # a copy: the caller's writes never reach it
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "_cache", {})
@@ -87,31 +91,46 @@ class DataSet:
 
 
 def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray]:
-    _, first, counts = unique_rows(ds.X, return_index=True, return_counts=True)
-    rows, weights = ds.X[first], counts.astype(np.float64)
+    first, inv = group_rows(np.ascontiguousarray(ds.X.T), range(ds.n_vars))
+    rows, weights = ds.X[first].astype(np.float64), np.bincount(inv).astype(np.float64)
     rows.setflags(write=False)
     weights.setflags(write=False)
     return rows, weights
 
 
-def unique_rows(bits: np.ndarray, **kwargs):
-    """``np.unique`` over the rows of a 0/1 matrix, in lexicographic row order.
+def group_rows(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows by their ``key`` columns: the first row of each group,
+    and the int32 group of every row, groups in lexicographic row order.
 
-    Each row is packed into big-endian 64-bit words, first column in the
-    most significant bit, so key order is row order. Rows of at most 64
-    columns are one integer each and take a flat integer unique.
+    ``columns`` is the column-major uint8 0/1 copy of the rows. Every 64 key
+    columns are packed into one word by shift-or, the first column most
+    significant, so key order is the lexicographic row order. A key of at
+    most log2(rows) columns is grouped without a sort, by marking its codes
+    in a table of all 2**len(key) codes; a wider one by a stable lexsort of
+    its words.
     """
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1)
-    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return unique_keys(words.view(">u8").astype(np.uint64), **kwargs)
-
-
-def unique_keys(keys: np.ndarray, **kwargs):
-    """``np.unique`` over the rows of an (n, words) uint64 key array: a flat
-    integer unique for one word, a row-wise unique beyond."""
-    axis = None if keys.shape[1] == 1 else 0
-    return np.unique(keys, axis=axis, **kwargs)
+    n = columns.shape[1]
+    words = np.zeros((-(-len(key) // 64), n), dtype=np.uint64)
+    for i, c in enumerate(key):
+        word = words[i // 64]
+        word <<= 1
+        word |= columns[c]
+    if 2 ** len(key) <= n:
+        code = words[0].view(np.int64)
+        present = np.zeros(2 ** len(key), dtype=bool)
+        present[code] = True
+        ids = np.cumsum(present, dtype=np.int32)
+        inv = ids[code] - 1
+        first = np.full(ids[-1], n, dtype=np.intp)
+        np.minimum.at(first, inv, np.arange(n))
+        return first, inv
+    order = np.lexsort(words[::-1])  # the last key sorts first
+    ordered = words[:, order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    inv = np.empty(n, dtype=np.int32)
+    inv[order] = np.cumsum(new, dtype=np.int32) - 1
+    return order[new], inv
 
 
 _TOKEN = {"0": 0, "1": 1}
@@ -128,7 +147,8 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
     Raises:
         DatasetFormatError: empty file, ragged line lengths, a line whose
             separator differs from the first line's, or any token other
-            than "0"/"1"; the message names the offending line.
+            than "0"/"1", a non-ASCII byte included; the message names the
+            offending line.
         OSError: unreadable path.
     """
     path = os.fspath(path)
@@ -138,12 +158,13 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
         data = fh.read()
     X = _parse_canonical(data)
     if X is not None:
-        return DataSet(X=X.astype(np.float64), name=name)
+        return DataSet(X=X, name=name)
     buf = bytearray()
     width = None
     sep = None
     n_rows = 0
-    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
+    # a non-ASCII byte decodes to a lone surrogate, which fails as a token
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -171,7 +192,7 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
     if n_rows == 0:
         raise DatasetFormatError(f"{path}: empty file")
     X = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(n_rows, width)
-    return DataSet(X=X.astype(np.float64), name=name)
+    return DataSet(X=X, name=name)
 
 
 def _parse_canonical(data: bytes) -> np.ndarray | None:

@@ -34,7 +34,6 @@ from forced_pruning import (
 )
 from forced_pruning import blanket
 from forced_pruning.blanket import BlanketTables, tables_for
-from forced_pruning.dataset import unique_keys
 
 from conftest import full_width_gains, random_dataset, void_key_tables
 
@@ -262,14 +261,17 @@ class TestAgainstSlowExactPaths:
     def test_plants_sized_chow_liu_build_never_sorts_keys(self, rng, monkeypatch):
         # every Chow-Liu blanket key is narrow against about 8000 unique rows
         ds = random_dataset(rng, 69, 8000, p=0.3)
-        tree = chow_liu_tree(ds)
+        tree = chow_liu_tree(ds)  # compresses the rows before the sorts are counted
         sorts = []
 
-        def counting(*args, **kwargs):
-            sorts.append(args[0].shape)
-            return unique_keys(*args, **kwargs)
+        def counting(sort):
+            def wrapper(*args, **kwargs):
+                sorts.append(sort.__name__)
+                return sort(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(blanket, "unique_keys", counting)
+        for name in ("sort", "argsort", "lexsort", "unique"):
+            monkeypatch.setattr(np, name, counting(getattr(np, name)))
         tables = BlanketTables(ds, tree)
         assert sorts == [] and tables.n_groups < ds.compressed()[0].shape[0]
 

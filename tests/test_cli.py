@@ -240,6 +240,14 @@ class TestExitCodes:
         p.write_text("0,1\n0,7\n")
         assert main(["--train", str(p)]) == 2
 
+    @pytest.mark.parametrize("data", [b"0,1\n0,\xc3\xa9\n", b"\xef\xbb\xbf0,1\n1,0\n"],
+                             ids=["non-ascii", "utf8-bom"])
+    def test_non_ascii_dataset_is_a_format_error(self, tmp_path, capsys, data):
+        p = tmp_path / "bad.data"
+        p.write_bytes(data)
+        assert main(["--train", str(p)]) == 2
+        assert f"{p}: line " in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "edge" in capsys.readouterr().out

@@ -6,7 +6,7 @@ import multiprocessing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forced_pruning import (
@@ -125,7 +125,7 @@ class TestCanonicalFastPath:
         ds, ref = load_dataset(str(p)), load_by_lines(str(p), monkeypatch)
         np.testing.assert_array_equal(ds.X, ref.X)
         np.testing.assert_array_equal(ds.X, X)
-        assert ds.X.dtype == np.float64 and not ds.X.flags.writeable
+        assert ds.X.dtype == np.uint8 and not ds.X.flags.writeable
         assert ds.name == ref.name == "canon.train"
 
     @pytest.mark.parametrize("text,message", [
@@ -138,8 +138,11 @@ class TestCanonicalFastPath:
         ("", "empty file"),
         ("0\n1\n", "line 1: need at least 2 variables per instance, got 1"),
         ("0,1\n\n0,1\n", "line 2: empty line"),
+        ("0,1\n0,\u00e9\n", "line 2: invalid token '\\udcc3\\udca9' (expected 0 or 1)"),
+        ("\ufeff0,1\n1,0\n", "line 1: invalid token '\\udcef\\udcbb\\udcbf0' (expected 0 or 1)"),
     ], ids=["comma-then-space", "space-then-comma", "late-mix", "first-line-mix",
-            "bad-token", "ragged", "empty", "one-variable", "blank-line"])
+            "bad-token", "ragged", "empty", "one-variable", "blank-line", "non-ascii",
+            "utf8-bom"])
     def test_malformed_files_name_their_line(self, tmp_path, text, message):
         p = tmp_path / "d.data"
         p.write_bytes(text.encode())
@@ -169,8 +172,35 @@ class TestCanonicalFastPath:
 
 class TestDataSetValidation:
     def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            DataSet(np.array([[0.0, 2.0]]))
+        # each of these would wrap or truncate to 0 or 1 in a uint8 cast
+        for bad in (2.0, 256, 257, -255, 0.5, 1.5, np.nan):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                DataSet(np.array([[0, 1], [1, bad]]))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint8, np.float64])
+    def test_binary_inputs_become_read_only_uint8(self, dtype):
+        bits = [[0, 1, 1], [1, 0, 1]]
+        for order in ("C", "F"):
+            ds = DataSet(np.array(bits, dtype=dtype, order=order))
+            assert ds.X.dtype == np.uint8 and ds.X.flags.c_contiguous
+            assert not ds.X.flags.writeable
+            np.testing.assert_array_equal(ds.X, bits)
+
+    def test_dataset_owns_its_bits(self):
+        # a view of the caller's array would follow its writes, while the
+        # cached compressed rows stayed as they were
+        bits = [[0, 1], [1, 0], [1, 1], [0, 1]]
+        for dtype in (np.uint8, np.float64):
+            base = np.array(bits + [[0, 0]], dtype=dtype)
+            DataSet(base)
+            ds = DataSet(base[:4])
+            ds.compressed()
+            base[:] = 1 - base
+            assert base.flags.writeable
+            np.testing.assert_array_equal(ds.X, bits)
+            rows, weights = ds.compressed()
+            np.testing.assert_array_equal(rows, [[0, 1], [1, 0], [1, 1]])
+            np.testing.assert_array_equal(weights, [2, 1, 1])
 
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValueError):
@@ -199,12 +229,17 @@ class TestDataSetValidation:
         assert len(np.unique(rows, axis=0)) == rows.shape[0]
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 60), st.integers(1, 12), st.integers(0, 10**6))
+    @given(st.integers(1, 200), st.integers(1, 12), st.integers(0, 10**6))
+    @example(32, 12, 0)
+    @example(64, 12, 1)
+    @example(128, 12, 2)
     def test_compressed_round_trip(self, n_rows, n_patterns, seed):
         # rows drawn from a few patterns, so most rows are duplicates; the
-        # widths cross the byte and 64-bit word boundaries of the packed keys
+        # widths cross the 64-bit word boundaries of the packed keys, and
+        # 2**width for widths 5-7 falls below, at and above the row count,
+        # where grouping switches from code buckets to sorting
         rng = np.random.default_rng(seed)
-        for n_vars in (2, 3, 8, 9, 63, 64, 65, 130):
+        for n_vars in (2, 3, 5, 6, 7, 8, 9, 63, 64, 65, 130):
             patterns = rng.random((n_patterns, n_vars)) < rng.random()
             ds = DataSet(patterns[rng.integers(0, n_patterns, n_rows)].astype(float))
             rows, weights = ds.compressed()

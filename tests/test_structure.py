@@ -483,13 +483,13 @@ class TestSharedTables:
 def groupings(monkeypatch, builds):
     """(index of the build, variable) of every per-variable grouping."""
     made = []
-    group = blanket._group
+    group = blanket.group_rows
 
     def counting(columns, key):
         made.append((len(builds), key[0]))
         return group(columns, key)
 
-    monkeypatch.setattr(blanket, "_group", counting)
+    monkeypatch.setattr(blanket, "group_rows", counting)
     return made
 
 
