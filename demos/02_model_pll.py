@@ -7,7 +7,6 @@ data.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from forced_pruning import (
     DataSet,
@@ -35,7 +34,8 @@ model = PairwiseModel(
 
 # With x0 = 1 the conditional logit of x1 is -0.1 + 1.5. logits() gives the
 # log-odds of every variable given the rest, for each row of its input.
-p = expit(logits(model, np.array([[1.0, 0.0, 0.0]])))[0, 1]
+z = logits(model, np.array([[1.0, 0.0, 0.0]]))[0, 1]
+p = 1.0 / (1.0 + np.exp(-z))
 expected = 1.0 / (1.0 + np.exp(-(-0.1 + 1.5)))
 print(f"P(x1=1 | x0=1, x2=0) = {p:.6f} (closed form {expected:.6f})")
 

@@ -43,9 +43,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import DataSet, group_rows
+from .model import _sigmoid
 
 ADD_WEIGHT_BOUND = 30.0
 _NEWTON_STEPS = 100
@@ -183,7 +183,7 @@ class BlanketTables:
         """PLL and its gradient over (node ++ edge) weights, from one logit pass."""
         z = self.logits(theta)
         f = float(self._terms(z).sum() / self.n_instances)
-        resid = self.count * (self.x - expit(z))
+        resid = self.count * (self.x - _sigmoid(z))
         g_node = np.bincount(self.var, weights=resid, minlength=self.n_vars)
         g_edge = np.bincount(self.inc_edge, weights=resid[self.inc_group], minlength=len(self.edges))
         return f, np.concatenate([g_node, g_edge]) / self.n_instances
@@ -239,7 +239,7 @@ class BlanketTables:
         tg, zg = self.t[g], z[g]
 
         def slopes(w, cand, s, tg, zg):
-            p = expit(-tg * (zg + w[cand]))  # 1 - P(x_var | blanket) at weight w
+            p = _sigmoid(-tg * (zg + w[cand]))  # 1 - P(x_var | blanket) at weight w
             d1 = np.bincount(cand, weights=s * tg * p, minlength=w.size)
             d2 = np.bincount(cand, weights=s * p * (1.0 - p), minlength=w.size)
             return d1, d2
@@ -265,10 +265,14 @@ class BlanketTables:
             hi = np.where(d1 < 0.0, wo, hi)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = wo + d1 / d2
-            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            # a converged step may round onto its own bracket end: keep it
+            # rather than restart from the far bracket's midpoint
+            tol = _NEWTON_TOL * (1.0 + np.abs(wo))
+            inside = (step > lo) & (step < hi) | (np.abs(step - wo) <= tol)
+            step = np.where(inside, step, 0.5 * (lo + hi))
             step = np.where(d1 == 0.0, wo, step)
             w[open_] = step
-            is_open = np.abs(step - wo) > _NEWTON_TOL * (1.0 + np.abs(wo))
+            is_open = np.abs(step - wo) > tol
             open_, lo, hi = open_[is_open], lo[is_open], hi[is_open]
         w = np.where(at_hi, B, np.where(at_lo, -B, w))
         change = s * (_log_sigmoid(tg * (zg + w[cand])) - _log_sigmoid(tg * zg))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import DataSet
 
@@ -111,6 +110,13 @@ class PairwiseModel:
         return W
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)) entrywise, from exp(-|x|) so that it
+    never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def _check_dims(model: PairwiseModel, ds: DataSet) -> None:
     if ds.n_vars != model.n_vars:
         raise ValueError(
@@ -150,7 +156,7 @@ def pll_gradient(model: PairwiseModel, ds: DataSet) -> np.ndarray:
     rows, weights = ds.compressed()
     N = ds.n_instances
     A = logits(model, rows)
-    resid = weights[:, None] * (rows - expit(A))
+    resid = weights[:, None] * (rows - _sigmoid(A))
     g_node = resid.sum(axis=0) / N
     G = rows.T @ resid
     g_edge = np.array([(G[lo, hi] + G[hi, lo]) / N for lo, hi in model.edges])

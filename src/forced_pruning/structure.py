@@ -23,7 +23,7 @@ import numpy as np
 from .blanket import tables_for
 from .chowliu import chow_liu_tree
 from .dataset import DataSet
-from .model import Edge, PairwiseModel, canonical_edge
+from .model import Edge, PairwiseModel, canonical_edge, complete_edges
 from .param_learn import FitOptions, TyingPartition, learn_params_with_apt
 
 logger = logging.getLogger(__name__)
@@ -261,7 +261,10 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
     active = np.zeros(V * V, dtype=bool)
     active[[lo * V + hi for lo, hi in chow_liu_tree(train)]] = True
     active[_draw_subset(np.flatnonzero(upper & ~active), config.extra_edges, rng)] = True
-    pool = _pairs(np.flatnonzero(upper & ~active), V)
+    pool_codes = np.flatnonzero(upper & ~active)
+    # one Edge per code, shared by every record's pool_edges
+    edge_of = np.empty(V * V, dtype=object)
+    edge_of[upper] = np.fromiter(complete_edges(V), dtype=object, count=n_edges)
 
     model = PairwiseModel.zeros(V, _pairs(np.flatnonzero(active), V))
     c = min(config.apt_clusters, model.n_params)
@@ -282,9 +285,9 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
             else:
                 deleted, proposals, fell_back = rejection_sample_delete(
                     model, train, k, rng, config.rejection_cap)
-            added = [e for e, _ in greedy_add(model, train, pool, k)]
+            added = [e for e, _ in greedy_add(model, train, _pairs(pool_codes, V), k)]
             active[[lo * V + hi for lo, hi in (*deleted, *added)]] ^= True
-            codes, pool = np.flatnonzero(active), _pairs(np.flatnonzero(upper & ~active), V)
+            codes, pool_codes = np.flatnonzero(active), np.flatnonzero(upper & ~active)
             model = PairwiseModel(
                 V, model.node_weights, _pairs(codes, V), model.weight_matrix().ravel()[codes]
             )
@@ -292,7 +295,7 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
         records.append(IterationRecord(
             iteration=it, train_neg_pll=neg, deleted=tuple(sorted(deleted)),
             added=tuple(added), proposals=proposals, fell_back=fell_back,
-            active_edges=model.edges, pool_edges=tuple(map(Edge._make, pool.tolist())),
+            active_edges=model.edges, pool_edges=tuple(edge_of[pool_codes].tolist()),
             seconds=time.perf_counter() - t0,
         ))
         logger.info(

@@ -222,9 +222,8 @@ def void_key_tables(ds, edges):
 
 def full_width_gains(tables, theta, candidates):
     """BlanketTables.addition_gains with every Newton step over all candidates."""
-    from scipy.special import expit
-
     from forced_pruning.blanket import ADD_WEIGHT_BOUND, _NEWTON_STEPS, _NEWTON_TOL, _ranges
+    from forced_pruning.model import _sigmoid
 
     def log_sigmoid(y):
         return -np.logaddexp(0.0, -y)
@@ -243,7 +242,7 @@ def full_width_gains(tables, theta, candidates):
     tg, zg = tables.t[g], z[g]
 
     def slopes(w):
-        p = expit(-tg * (zg + w[cand]))
+        p = _sigmoid(-tg * (zg + w[cand]))
         d1 = np.bincount(cand, weights=s * tg * p, minlength=n)
         d2 = np.bincount(cand, weights=s * p * (1.0 - p), minlength=n)
         return d1, d2
@@ -262,9 +261,11 @@ def full_width_gains(tables, theta, candidates):
         hi = np.where(d1 < 0.0, w, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = w + d1 / d2
-        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        tol = _NEWTON_TOL * (1.0 + np.abs(w))
+        inside = (step > lo) & (step < hi) | (np.abs(step - w) <= tol)
+        step = np.where(inside, step, 0.5 * (lo + hi))
         step = np.where(d1 == 0.0, w, step)
-        moved = np.abs(step - w) > _NEWTON_TOL * (1.0 + np.abs(w))
+        moved = np.abs(step - w) > tol
         w = np.where(open_, step, w)
         open_ &= moved
     w = np.where(at_hi, B, np.where(at_lo, -B, w))

@@ -1,10 +1,15 @@
-"""The public names of the package: pinned, resolvable, and all imported; and
-the parameters of the functions that share the Markov-blanket tables."""
+"""The public names of the package: pinned, resolvable, and all imported; the
+parameters of the functions that share the Markov-blanket tables; and numpy
+as the only third-party module that the package and its CLI load."""
 
 import ast
 import glob
 import inspect
 import os
+import subprocess
+import sys
+
+import pytest
 
 import forced_pruning
 
@@ -120,3 +125,16 @@ def test_no_function_takes_tables():
                 a = node.args
                 names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
                 assert "tables" not in names, f"{path}:{node.lineno}"
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import forced_pruning, forced_pruning.cli"],
+    ["-m", "forced_pruning", "--help"],
+])
+def test_scipy_is_never_imported(args):
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, check=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "forced_pruning.cli" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []

@@ -368,6 +368,19 @@ class TestSpecialCases:
         assert gains[0] == pytest.approx(pll(at_bound, ds) - pll(model, ds), abs=RTOL)
         assert gains[0] == pytest.approx(brent_gain(model, ds, Edge(0, 1)), abs=GAIN_ATOL)
 
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_converged_search_is_not_restarted(self, seed, monkeypatch):
+        # a Newton step of a converged candidate can round onto its own
+        # bracket end; the search must stop there, not restart from the far
+        # bracket's midpoint, so 15 steps are plenty at this size
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, 8, 80, p=0.3)
+        pool = complete_edges(8)
+        edges = tuple(sorted(pool[i] for i in rng.choice(len(pool), 8, replace=False)))
+        model = PairwiseModel(8, rng.normal(size=8), edges, rng.normal(size=8))
+        monkeypatch.setattr(blanket, "_NEWTON_STEPS", 15)
+        check_additions(model, ds)
+
     def test_blanket_wider_than_64_columns(self, rng):
         # a hub joined to 69 others: its blanket key spans 70 bits
         n = 70

@@ -19,6 +19,7 @@ from forced_pruning import (
     pll_gradient,
     pll_without_edges,
 )
+from forced_pruning.model import _sigmoid
 from scipy.special import expit
 
 from conftest import (
@@ -103,6 +104,14 @@ class TestConditionals:
             for i in range(4):
                 assert expit(A[n, i]) == pytest.approx(
                     conditional_prob_reference(m, ds.X[n], i), abs=1e-12)
+
+
+class TestSigmoid:
+    def test_matches_scipy_without_overflow(self):
+        # every warning is an error, so an overflow in exp would fail here
+        x = np.concatenate([np.linspace(-800.0, 800.0, 4001), [-np.inf, np.inf, 0.0, -0.0]])
+        np.testing.assert_allclose(_sigmoid(x), expit(x), rtol=1e-15, atol=np.finfo(float).tiny)
+        assert _sigmoid(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
 
 
 class TestPll:

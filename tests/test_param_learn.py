@@ -1,6 +1,7 @@
-"""Fitting, quantization, and tied refitting."""
+"""The L-BFGS minimizer, fitting, quantization, and tied refitting."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from forced_pruning import (
     tied_fit,
     tying_objective,
 )
-from forced_pruning.param_learn import _maximize
+from forced_pruning.param_learn import _maximize, minimize
 
 from conftest import make_dataset, quantize_reference, random_dataset, random_model
 
@@ -169,12 +170,58 @@ class TestQuantizeParams:
             assert p.means.tobytes() == means.tobytes()
 
 
+class TestMinimize:
+    def test_reaches_the_optimum_of_a_convex_quadratic(self, rng):
+        # the negation of a strictly concave quadratic, minimum at A^-1 b
+        Q = rng.normal(size=(6, 6))
+        A = Q @ Q.T + 0.1 * np.eye(6)
+        b = rng.normal(size=6)
+        res = minimize(lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b), np.zeros(6),
+                       max_iter=500, gtol=1e-10, max_evals=50000)
+        assert res.message == "converged" and np.abs(res.jac).max() < 1e-10
+        np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=1e-8, atol=1e-8)
+
+    def test_nfev_counts_the_objective_calls(self, rng):
+        calls = []
+
+        def fun_grad(x):
+            calls.append(None)
+            return float(np.sum(np.cosh(x))), np.sinh(x)
+
+        res = minimize(fun_grad, rng.normal(size=4), max_iter=100, gtol=1e-9, max_evals=10000)
+        assert res.nfev == len(calls) > 1
+        np.testing.assert_allclose(res.x, 0.0, atol=1e-9)
+
+    def test_evaluation_limit_is_kept(self, rng):
+        calls = []
+
+        def fun_grad(x):
+            calls.append(None)
+            return float(x @ x), 2.0 * x
+
+        res = minimize(fun_grad, np.full(3, 5.0), max_iter=100, gtol=1e-30, max_evals=3)
+        assert res.nfev == len(calls) == 3
+        assert res.message == "evaluation limit reached"
+
+    def test_step_limit_logs_one_warning(self, rng, caplog):
+        ds = random_dataset(rng, 4, 60)
+        model = random_model(rng, 4, 3)
+        with caplog.at_level(logging.WARNING, logger="forced_pruning.param_learn"):
+            mple_fit(model, ds, FitOptions(max_optimizer_steps=1))
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("forced_pruning.param_learn", logging.WARNING)]
+        assert "MPLE fit stopped" in caplog.records[0].getMessage()
+
+
 class TestMpleFit:
-    def test_exact_solution_on_independent_pair(self):
+    def test_exact_solution_on_independent_pair(self, caplog):
+        # with no penalty the curvature along the edge weight can vanish
         ds = independent_pair_dataset()
         model = PairwiseModel.zeros(2, [Edge(0, 1)])
-        fitted = mple_fit(model, ds, FitOptions(l2_strength=0.0, gradient_tolerance=1e-10))
-        np.testing.assert_allclose(fitted.weight_vector(), [LN3, 0.0, 0.0], atol=1e-5)
+        with caplog.at_level(logging.WARNING, logger="forced_pruning.param_learn"):
+            fitted = mple_fit(model, ds, FitOptions(l2_strength=0.0, gradient_tolerance=1e-10))
+        assert caplog.records == []
+        np.testing.assert_allclose(fitted.weight_vector(), [LN3, 0.0, 0.0], atol=1e-8)
 
     def test_penalized_gradient_vanishes_at_optimum(self, rng):
         ds = random_dataset(rng, 4, 60)

@@ -269,6 +269,15 @@ class TestForcedPruning:
             assert list(rec.pool_edges) == sorted(rec.pool_edges)
             assert type(rec.train_neg_pll) is float
 
+    def test_records_share_the_edges_that_stay_in_the_pool(self, rng):
+        ds = random_dataset(rng, 7, 80)
+        cfg = PruningConfig(extra_edges=4, exchange_size=3, max_iter=3, seed=2)
+        first, second, _ = forced_pruning(ds, cfg).iterations
+        kept = set(first.pool_edges) & set(second.pool_edges)
+        assert len(kept) == len(first.pool_edges) - 3
+        shared = {id(e) for e in first.pool_edges} & {id(e) for e in second.pool_edges}
+        assert len(shared) == len(kept)
+
     def test_exchange_moves_exactly_k_edges(self, rng):
         ds = random_dataset(rng, 5, 60)
         cfg = PruningConfig(extra_edges=2, exchange_size=2, max_iter=5, seed=1,
