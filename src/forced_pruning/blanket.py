@@ -15,9 +15,9 @@ variable.
 Groups are keyed by the variable and its blanket, and grouped by
 :func:`dataset.group_rows`, the routine that also deduplicates the rows of
 a dataset, on a column-major uint8 copy of the compressed rows: without a
-sort for a key of at most log2(unique rows) columns, by a stable lexsort
-beyond. So grouping is exact at any blanket size, and the group order is
-the lexicographic row order.
+sort for a key of at most log2(8 * unique rows) columns, by a stable
+lexsort beyond. So grouping is exact at any blanket size, and the group
+order is the lexicographic row order.
 
 A variable's groups depend only on (dataset, variable, blanket), and an
 exchange of k edges changes at most 2k blankets. Tables built while the last

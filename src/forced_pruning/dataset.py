@@ -46,8 +46,9 @@ class DataSet:
             raise ValueError(f"need at least 2 variables, got {v}")
         if n < 1:
             raise ValueError("need at least 1 instance")
-        # checked before the cast, which would wrap 256 to 0 and truncate 1.5 to 1
-        if not ((X == 0) | (X == 1)).all():
+        # checked before the cast, which would wrap 256 to 0 and truncate 1.5 to 1;
+        # an unsigned or bool array holds no value below 0, so its maximum decides
+        if not (X.max() <= 1 if X.dtype.kind in "ub" else ((X == 0) | (X == 1)).all()):
             raise ValueError("instance entries must be 0 or 1")
         X = np.array(X, dtype=np.uint8, order="C")  # a copy: the caller's writes never reach it
         X.setflags(write=False)
@@ -102,21 +103,24 @@ def group_rows(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.
     """Group the rows by their ``key`` columns: the first row of each group,
     and the int32 group of every row, groups in lexicographic row order.
 
-    ``columns`` is the column-major uint8 0/1 copy of the rows. Every 64 key
-    columns are packed into one word by shift-or, the first column most
-    significant, so key order is the lexicographic row order. A key of at
-    most log2(rows) columns is grouped without a sort, by marking its codes
-    in a table of all 2**len(key) codes; a wider one by a stable lexsort of
-    its words.
+    ``columns`` is the column-major uint8 0/1 copy of the rows. The key
+    columns are packed into words by shift-or, the first column most
+    significant, so key order is the lexicographic row order: a key of at
+    most 32 columns into one uint32 word, a wider one into a uint64 word
+    per 64 columns. A key of at most log2(8 * rows) columns is grouped
+    without a sort, by marking its codes in a table of all 2**len(key)
+    codes; a wider one by a stable lexsort of its words. Up to 8 codes per
+    row, marking and counting the table is still faster than sorting.
     """
     n = columns.shape[1]
-    words = np.zeros((-(-len(key) // 64), n), dtype=np.uint64)
+    bits = 32 if len(key) <= 32 else 64
+    words = np.zeros((-(-len(key) // bits), n), dtype=f"u{bits // 8}")
     for i, c in enumerate(key):
-        word = words[i // 64]
+        word = words[i // bits]
         word <<= 1
         word |= columns[c]
-    if 2 ** len(key) <= n:
-        code = words[0].view(np.int64)
+    if 2 ** len(key) <= 8 * n:
+        code = words[0]
         present = np.zeros(2 ** len(key), dtype=bool)
         present[code] = True
         ids = np.cumsum(present, dtype=np.int32)
@@ -141,8 +145,9 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
 
     The separator is chosen from the first line: comma if it has one,
     whitespace otherwise. A file in the canonical layout (every line
-    ``[01](sep[01])*\\n`` with one separator byte) is parsed in one numpy
-    pass; any other file goes through the line-by-line parser.
+    ``[01](sep[01])*\\n`` with one separator byte) is parsed and checked by
+    one numpy subtraction and one maximum; any other file goes through the
+    line-by-line parser.
 
     Raises:
         DatasetFormatError: empty file, ragged line lengths, a line whose
@@ -199,19 +204,22 @@ def _parse_canonical(data: bytes) -> np.ndarray | None:
     """0/1 matrix of a canonical-layout file, or None for any other input.
 
     Every line must have the first line's byte length, so the file reshapes
-    to one row per line, and the column checks then cover every byte.
+    to one row per line of (digit, separator) byte pairs, the newline taking
+    the last separator's place. Read as little-endian uint16, each pair less
+    its expected value ("0" and the separator) is the digit's 0 or 1 exactly
+    when both bytes are right: a digit byte below "0" wraps and borrows from
+    the separator byte, and any other wrong byte leaves more than 1, so one
+    maximum checks every byte.
     """
     if not data.endswith(b"\n"):
         data += b"\n"
     stride = data.find(b"\n") + 1  # bytes per line, newline included
     if stride < 4 or stride % 2 or len(data) % stride or data[1] not in b", \t":
         return None
-    cells = np.frombuffer(data, dtype=np.uint8).reshape(-1, stride)
-    digits = cells[:, 0::2] - ord("0")
-    if ((digits <= 1).all() and (cells[:, 1:-1:2] == data[1]).all()
-            and (cells[:, -1] == ord("\n")).all()):
-        return digits
-    return None
+    expected = np.full(stride // 2, ord("0") | data[1] << 8, dtype="<u2")
+    expected[-1] = ord("0") | ord("\n") << 8
+    digits = np.frombuffer(data, dtype="<u2").reshape(-1, stride // 2) - expected
+    return digits if digits.max() <= 1 else None
 
 
 def _line_error(path: str, lineno: int, line: str, sep: str | None, message: str) -> DatasetFormatError:

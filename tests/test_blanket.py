@@ -12,6 +12,7 @@ whose own error in the weight is below its 1e-10 tolerance.
 """
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,8 +81,9 @@ def wide_blankets(draw):
 def keys_at_the_fork(draw, ratio):
     """A hub joined to ``width - 1`` others, over rows with exactly U distinct
     patterns, where 2**width == ratio * U: the hub's key sits at, below or
-    above the width where grouping switches from code buckets to sorting."""
-    width = draw(st.integers(2, 7))
+    above the width where grouping switches from code buckets to sorting
+    (2**width == 8 * U)."""
+    width = draw(st.integers(5, 10))
     n_unique = int(2**width / ratio)
     n_vars = width + 1 + draw(st.integers(0, 2))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -248,14 +250,21 @@ class TestAgainstSlowExactPaths:
         tables = check_against_void_keys(*case)
         check_gains_against_full_width(*case, tables)
 
-    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("ratio", [4, 8, 16])
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_grouping_at_the_fork(self, ratio, data):
         model, ds = data.draw(keys_at_the_fork(ratio))
-        width = 1 + sum(0 in e for e in model.edges)
-        assert 2**width == ratio * ds.compressed()[0].shape[0]
-        tables = check_against_void_keys(model, ds)
+        n_unique = ds.compressed()[0].shape[0]
+        degree = np.bincount(np.ravel(model.edges), minlength=model.n_vars)
+        assert 2 ** (1 + degree[0]) == ratio * n_unique
+        # one lexsort per key wider than the fork (the hub's only above it);
+        # every other key takes the code buckets
+        wide = 2.0 ** (1 + degree) > 8 * n_unique
+        assert wide[0] == (ratio > 8) and not wide.all()
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            tables = check_against_void_keys(model, ds)
+        assert lexsort.call_count == wide.sum()
         check_gains_against_full_width(model, ds, tables)
 
     def test_plants_sized_chow_liu_build_never_sorts_keys(self, rng, monkeypatch):

@@ -3,6 +3,10 @@
 import concurrent.futures
 import math
 import multiprocessing
+import os
+import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -103,11 +107,42 @@ class TestLoadDataset:
             load_dataset(str(tmp_path / "absent.data"))
 
 
-def load_by_lines(path, monkeypatch):
+def load_by_lines(path):
     """load_dataset with the canonical fast path switched off."""
-    with monkeypatch.context() as m:
-        m.setattr(dataset_mod, "_parse_canonical", lambda data: None)
+    with mock.patch.object(dataset_mod, "_parse_canonical", lambda data: None):
         return load_dataset(path)
+
+
+def load_outcome(load, path):
+    """What a load gives: the bits and their shape, or the error message."""
+    try:
+        X = load(path).X
+    except DatasetFormatError as err:
+        return str(err)
+    return X.shape, X.tobytes()
+
+
+def is_canonical(data):
+    """The canonical layout by regular expression: every line [01](sep[01])+
+    with the first line's separator byte, every line as long as the first."""
+    lines = (data if data.endswith(b"\n") else data + b"\n").split(b"\n")[:-1]
+    line = b"[01](?:" + re.escape(data[1:2]) + b"[01])+"
+    return (data[1:2] in (b",", b" ", b"\t") and len({len(x) for x in lines}) == 1
+            and all(re.fullmatch(line, x) for x in lines))
+
+
+@st.composite
+def canonical_files_with_one_byte_changed(draw):
+    """A canonical file (1-30 rows of 2-70 columns, comma, space or tab, with
+    or without a final newline), a byte offset in it and any new byte value,
+    a layout byte often enough that some changed files stay canonical."""
+    sep = draw(st.sampled_from([b",", b" ", b"\t"]))
+    width = draw(st.integers(2, 70))
+    row = st.lists(st.sampled_from([b"0", b"1"]), min_size=width, max_size=width)
+    data = b"\n".join(sep.join(bits) for bits in draw(st.lists(row, min_size=1, max_size=30)))
+    data += draw(st.sampled_from([b"", b"\n"]))
+    byte = draw(st.sampled_from(b"01,\t \n") | st.integers(0, 255))
+    return data, draw(st.integers(0, len(data) - 1)), byte
 
 
 class TestCanonicalFastPath:
@@ -115,18 +150,25 @@ class TestCanonicalFastPath:
 
     @pytest.mark.parametrize("sep", [",", " ", "\t"], ids=["comma", "space", "tab"])
     @pytest.mark.parametrize("final_newline", [True, False])
-    @pytest.mark.parametrize("n_vars", [2, 3, 17])
+    @pytest.mark.parametrize("n_vars", [2, 3, 17, 69, 130])
     def test_matches_line_parser(self, tmp_path, rng, monkeypatch, sep, final_newline, n_vars):
-        X = (rng.random((25, n_vars)) < 0.5).astype(int)
-        text = "\n".join(sep.join(map(str, row)) for row in X)
-        p = tmp_path / "canon.train.data"
-        p.write_bytes(text.encode() + (b"\n" if final_newline else b""))
-        assert _parse_canonical(p.read_bytes()) is not None
-        ds, ref = load_dataset(str(p)), load_by_lines(str(p), monkeypatch)
-        np.testing.assert_array_equal(ds.X, ref.X)
-        np.testing.assert_array_equal(ds.X, X)
-        assert ds.X.dtype == np.uint8 and not ds.X.flags.writeable
-        assert ds.name == ref.name == "canon.train"
+        def line_parser_ran(*args, **kwargs):
+            raise AssertionError("the line-by-line parser ran on a canonical file")
+
+        for n_rows in (1, 25):
+            X = (rng.random((n_rows, n_vars)) < 0.5).astype(int)
+            text = "\n".join(sep.join(map(str, row)) for row in X)
+            p = tmp_path / "canon.train.data"
+            p.write_bytes(text.encode() + (b"\n" if final_newline else b""))
+            assert _parse_canonical(p.read_bytes()) is not None
+            with monkeypatch.context() as m:
+                m.setattr(dataset_mod.io, "TextIOWrapper", line_parser_ran)
+                ds = load_dataset(str(p))
+            ref = load_by_lines(str(p))
+            np.testing.assert_array_equal(ds.X, ref.X)
+            np.testing.assert_array_equal(ds.X, X)
+            assert ds.X.dtype == np.uint8 and not ds.X.flags.writeable
+            assert ds.name == ref.name == "canon.train"
 
     @pytest.mark.parametrize("text,message", [
         ("0,1,1\n1 0 1\n", "line 2: mixes comma and whitespace separators"),
@@ -169,6 +211,35 @@ class TestCanonicalFastPath:
             load_dataset(str(p))
         assert str(err.value) == f"{p}: {message}"
 
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_files_with_one_byte_changed())
+    # each pair (digit, separator) is read as one little-endian uint16 less
+    # the expected pair: a digit below "0" wraps and borrows from the
+    # separator byte, a digit above "1" or a separator off by one leaves more
+    # than 1, and the newline slot is checked like a separator
+    @example((b"0,1,1\n1,0,1\n", 2, ord("/")))
+    @example((b"0,1,1\n1,0,1\n", 10, ord("2")))
+    @example((b"0 1 1\n1 0 1", 10, ord("/")))
+    @example((b"0,1\n1,0\n", 1, ord(",") - 1))
+    @example((b"0,1\n1,0\n", 5, ord(",") + 1))
+    @example((b"0 1\n1 0\n", 1, ord(" ") - 1))
+    @example((b"0 1\n1 0\n", 1, ord(" ") + 1))
+    @example((b"0\t1\n1\t0\n", 5, ord("\t") - 1))
+    @example((b"0\t1\n1\t0\n", 5, ord("\t") + 1))
+    @example((b"0 1\n1 0\n", 3, 0x0B))
+    @example((b"0,1\n1,0\n", 7, 0x0B))
+    @example((b"0 1 0\n", 5, 0x0B))
+    @example((b"0,1\n1,0\n", 4, ord("0")))
+    def test_one_changed_byte_matches_line_parser(self, case):
+        data, pos, byte = case
+        data = data[:pos] + bytes([byte]) + data[pos + 1:]
+        assert (_parse_canonical(data) is not None) == is_canonical(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.data")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert load_outcome(load_dataset, path) == load_outcome(load_by_lines, path)
+
 
 class TestDataSetValidation:
     def test_non_binary_rejected(self):
@@ -177,7 +248,18 @@ class TestDataSetValidation:
             with pytest.raises(ValueError, match="must be 0 or 1"):
                 DataSet(np.array([[0, 1], [1, bad]]))
 
-    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint8, np.float64])
+    @pytest.mark.parametrize("dtype,bad", [
+        (np.uint8, 2), (np.uint16, 256), (np.uint32, 256), (np.uint64, 2**63),
+        (np.int8, -1), (np.float32, 0.5), (np.float64, np.nan),
+    ])
+    def test_non_binary_rejected_in_every_dtype(self, dtype, bad):
+        # an unsigned array is checked by its maximum, before the cast that
+        # would wrap 256 and 2**63 to 0; a signed or float one by its values
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            DataSet(np.array([[0, 1], [1, bad]], dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [
+        bool, np.int64, np.uint8, np.uint16, np.uint32, np.uint64, np.float64])
     def test_binary_inputs_become_read_only_uint8(self, dtype):
         bits = [[0, 1, 1], [1, 0, 1]]
         for order in ("C", "F"):
@@ -230,19 +312,22 @@ class TestDataSetValidation:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 200), st.integers(1, 12), st.integers(0, 10**6))
-    @example(32, 12, 0)
-    @example(64, 12, 1)
-    @example(128, 12, 2)
+    @example(16, 12, 0)
+    @example(32, 12, 1)
+    @example(64, 12, 2)
     def test_compressed_round_trip(self, n_rows, n_patterns, seed):
         # rows drawn from a few patterns, so most rows are duplicates; the
-        # widths cross the 64-bit word boundaries of the packed keys, and
-        # 2**width for widths 5-7 falls below, at and above the row count,
-        # where grouping switches from code buckets to sorting
+        # widths cross the 32-bit word of a narrow key and the 64-bit word
+        # boundaries of a wide one, and 2**width for widths 7-10 falls below,
+        # at and above 8 times the row count of the examples, where grouping
+        # switches from code buckets to sorting
         rng = np.random.default_rng(seed)
-        for n_vars in (2, 3, 5, 6, 7, 8, 9, 63, 64, 65, 130):
+        for n_vars in (2, 3, 5, 6, 7, 8, 9, 10, 31, 32, 33, 63, 64, 65, 130):
             patterns = rng.random((n_patterns, n_vars)) < rng.random()
             ds = DataSet(patterns[rng.integers(0, n_patterns, n_rows)].astype(float))
-            rows, weights = ds.compressed()
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+                rows, weights = ds.compressed()
+            assert lexsort.call_count == (2**n_vars > 8 * n_rows)
             ref_rows, ref_counts = np.unique(ds.X, axis=0, return_counts=True)
             np.testing.assert_array_equal(rows, ref_rows)
             np.testing.assert_array_equal(weights, ref_counts)
