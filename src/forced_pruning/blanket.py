@@ -45,15 +45,11 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DataSet, group_rows
-from .model import _sigmoid
+from .model import _check_dims, _log_sigmoid, _sigmoid
 
 ADD_WEIGHT_BOUND = 30.0
 _NEWTON_STEPS = 100
 _NEWTON_TOL = 1e-13
-
-
-def _log_sigmoid(y: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -y)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -283,8 +279,7 @@ class BlanketTables:
 def tables_for(model, ds: DataSet) -> BlanketTables:
     """The blanket tables of ``ds`` under the model's edge set, reused while a
     caller holds them: a weak slot on ``ds`` remembers the last ones built."""
-    if ds.n_vars != model.n_vars:
-        raise ValueError(f"dataset has {ds.n_vars} variables, model has {model.n_vars}")
+    _check_dims(model, ds)
     tables = ds._cache.get("tables", lambda: None)()
     if tables is None or tables.edges != model.edges:
         tables = BlanketTables(ds, model.edges)

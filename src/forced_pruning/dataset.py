@@ -29,7 +29,8 @@ class DataSet:
     Attributes:
         X: (n_instances, n_vars) C-contiguous uint8 array of 0/1 entries in
            the given row order; the dataset's own read-only copy of the input.
-        name: label used in reports.
+        name: a label for the caller; no report reads it (the CLI names
+           reports by ``--name`` or the train file's stem).
     """
 
     X: np.ndarray

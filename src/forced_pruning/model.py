@@ -117,6 +117,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def _log_sigmoid(y: np.ndarray) -> np.ndarray:
+    """log sigma(y) entrywise, without overflow."""
+    return -np.logaddexp(0.0, -y)
+
+
 def _check_dims(model: PairwiseModel, ds: DataSet) -> None:
     if ds.n_vars != model.n_vars:
         raise ValueError(
@@ -132,12 +137,6 @@ def logits(model: PairwiseModel, X: np.ndarray) -> np.ndarray:
     return X @ model.weight_matrix() + model.node_weights
 
 
-def _log_conditionals(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """log P(x_i | rest) entrywise: log sigma(t * z) with t = 2x - 1."""
-    T = 2.0 * X - 1.0
-    return -np.logaddexp(0.0, -T * A)
-
-
 def pll(model: PairwiseModel, ds: DataSet) -> float:
     """Mean per-instance pseudo-log-likelihood in nats (<= 0).
 
@@ -146,7 +145,8 @@ def pll(model: PairwiseModel, ds: DataSet) -> float:
     """
     _check_dims(model, ds)
     rows, weights = ds.compressed()
-    col_sums = weights @ _log_conditionals(rows, logits(model, rows))
+    # log P(x_i | rest) = log sigma(t * z) with t = 2x - 1
+    col_sums = weights @ _log_sigmoid((2.0 * rows - 1.0) * logits(model, rows))
     return float(col_sums.sum() / ds.n_instances)
 
 

@@ -3,10 +3,11 @@
 Fitting maximizes  pll(theta) - l2_strength * ||theta||^2  (the PLL is the
 per-instance mean, so the penalty is on that scale too). Tying quantizes the
 fitted weights into c clusters by exact 1-D dynamic programming, then refits
-one shared value per cluster. Both fits evaluate the objective and its
+one shared value per cluster. One routine serves both fits: MPLE is the
+tied fit with one value per parameter. It evaluates the objective and its
 gradient in one pass over the Markov-blanket tables of the model's edge set
 (:mod:`forced_pruning.blanket`); while a caller holds those tables, every fit
-on the same dataset and edge set reuses them. Both climb the objective with
+on the same dataset and edge set reuses them. It climbs the objective with
 the module's own L-BFGS, :func:`minimize`.
 """
 
@@ -202,17 +203,27 @@ def minimize(fun_grad, x0: np.ndarray, max_iter: int, gtol: float, max_evals: in
         x, f, g = x + s, f_new, g_new
 
 
-def _maximize(fun_grad, x0: np.ndarray, opts: FitOptions, what: str) -> np.ndarray:
-    """Maximize a concave objective with L-BFGS; stationarity to tolerance."""
+def _fit(model: PairwiseModel, ds: DataSet, assign: np.ndarray, mu: np.ndarray,
+         opts: FitOptions, what: str) -> PairwiseModel:
+    """Maximize pll(mu[assign]) - l2 * ||mu||^2 by L-BFGS from ``mu``.
+
+    Parameter j takes the value ``mu[assign[j]]``, so a value's gradient is
+    the sum of its parameters' PLL gradients. ``what`` names the fit in the
+    error and the non-convergence warning.
+    """
+    tables = tables_for(model, ds)
+    l2 = opts.l2_strength
 
     def neg(x):
-        f, g = fun_grad(x)
+        f, g = tables.pll_and_gradient(x[assign])
+        f -= l2 * float(x @ x)
         if not np.isfinite(f):
             raise FitError(f"{what}: objective became non-finite")
+        g = np.bincount(assign, weights=g, minlength=x.size) - 2.0 * l2 * x
         return -f, -g
 
     res = minimize(
-        neg, x0, opts.max_optimizer_steps, opts.gradient_tolerance,
+        neg, mu, opts.max_optimizer_steps, opts.gradient_tolerance,
         100 * opts.max_optimizer_steps,
     )
     grad_inf = float(np.abs(res.jac).max())
@@ -221,7 +232,7 @@ def _maximize(fun_grad, x0: np.ndarray, opts: FitOptions, what: str) -> np.ndarr
             "%s stopped with gradient inf-norm %.3g >= tolerance %.3g (%s)",
             what, grad_inf, opts.gradient_tolerance, res.message,
         )
-    return res.x
+    return model.with_weights(res.x[assign])
 
 
 def mple_fit(
@@ -231,19 +242,11 @@ def mple_fit(
 ) -> PairwiseModel:
     """Maximize pll - l2 * ||theta||^2 over all weights.
 
-    Starts from the weights carried by ``model`` (pass a zero-weight model
-    for a cold start; the pruning loop passes the previous iteration's
-    weights to warm-start).
+    This is the tied fit with one value per parameter. Starts from the
+    weights carried by ``model`` (pass a zero-weight model for a cold start;
+    the pruning loop passes the previous iteration's weights to warm-start).
     """
-    tables = tables_for(model, ds)
-    l2 = opts.l2_strength
-
-    def fun_grad(vec):
-        f, g = tables.pll_and_gradient(vec)
-        return f - l2 * float(vec @ vec), g - 2.0 * l2 * vec
-
-    x = _maximize(fun_grad, model.weight_vector(), opts, "MPLE fit")
-    return model.with_weights(x)
+    return _fit(model, ds, np.arange(model.n_params), model.weight_vector(), opts, "MPLE fit")
 
 
 def tied_fit(
@@ -262,17 +265,7 @@ def tied_fit(
         raise ValueError(
             f"partition covers {partition.n_params} parameters, model has {model.n_params}"
         )
-    tables = tables_for(model, ds)
-    assign = partition.assignment
-    k = partition.n_clusters
-    l2 = opts.l2_strength
-
-    def fun_grad(mu):
-        f, g = tables.pll_and_gradient(mu[assign])
-        return f - l2 * float(mu @ mu), np.bincount(assign, weights=g, minlength=k) - 2.0 * l2 * mu
-
-    mu = _maximize(fun_grad, partition.means, opts, "tied fit")
-    return model.with_weights(mu[assign])
+    return _fit(model, ds, partition.assignment, partition.means, opts, "tied fit")
 
 
 def learn_params_with_apt(
@@ -291,10 +284,6 @@ def learn_params_with_apt(
     fitted = mple_fit(model, ds, opts)
     partition = quantize_params(fitted.weight_vector(), c)
     tied = tied_fit(fitted, ds, partition, opts)
-    _, first = np.unique(partition.assignment, return_index=True)
-    final = TyingPartition(
-        assignment=partition.assignment,
-        means=tied.weight_vector()[first],
-        n_clusters=partition.n_clusters,
-    )
-    return tied, final
+    means = np.empty(partition.n_clusters)
+    means[partition.assignment] = tied.weight_vector()  # a cluster's members share one value
+    return tied, TyingPartition(partition.assignment, means, partition.n_clusters)

@@ -167,11 +167,15 @@ def rejection_sample_delete(
     return RejectionOutcome(frozenset(greedy_delete(model, ds, k)), cap, True)
 
 
-def _endpoints(candidates) -> np.ndarray:
-    """The candidates as an (n, 2) int64 array; a non-pair is a ValueError."""
+def _endpoints(candidates) -> tuple[np.ndarray, Sequence]:
+    """The candidates as an (n, 2) int64 array, and as given; a non-pair is a
+    ValueError. An endpoint beyond int64 is held at -2**62 or 2**62, so it
+    stays out of range without wrapping."""
     if (isinstance(candidates, np.ndarray) and candidates.dtype.kind in "iu"
             and candidates.shape[1:] == (2,)):
-        return candidates.astype(np.int64, copy=False)  # codes lo*V + hi must not wrap
+        if candidates.dtype == np.uint64:
+            return np.minimum(candidates, 2**62).astype(np.int64), candidates
+        return candidates.astype(np.int64, copy=False), candidates  # codes lo*V + hi must not wrap
     pairs = []
     for e in candidates:
         try:
@@ -179,7 +183,8 @@ def _endpoints(candidates) -> np.ndarray:
             pairs.append((operator.index(i), operator.index(j)))
         except (TypeError, ValueError):
             raise ValueError(f"candidate {e!r} is not a pair of integers") from None
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    held = np.clip(np.array(pairs, dtype=object).reshape(-1, 2), -2**62, 2**62)
+    return held.astype(np.int64), pairs
 
 
 def greedy_add(
@@ -198,7 +203,7 @@ def greedy_add(
     in place when int64. Candidates are canonicalized; one that is not a
     pair of integers, or is active, repeated or out of range, is a ValueError.
     """
-    ends = _endpoints(candidates)
+    ends, given = _endpoints(candidates)
     V = model.n_vars
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     out = (lo < 0) | (hi >= V)
@@ -209,8 +214,8 @@ def greedy_add(
     repeat[first] = False
     bad = (lo == hi) | out | active | repeat
     if bad.any():
-        # the first offender, in candidate order, with the checks in this order
-        e = tuple(ends[int(np.argmax(bad))].tolist())
+        # the first offender, in candidate order and as given, with the checks in this order
+        e = tuple(map(int, given[int(np.argmax(bad))]))
         c = canonical_edge(*e)
         if c.lo < 0 or c.hi >= V:
             raise ValueError(f"candidate {e} is out of range for {V} variables")
@@ -221,7 +226,7 @@ def greedy_add(
         raise ValueError(f"k must be in [0, {codes.size}], got {k}")
     if k == 0:
         return []
-    pairs = np.stack([codes // V, codes % V], axis=1)  # canonical and sorted
+    pairs = _pairs(codes, V)  # canonical and sorted
     gains = tables_for(model, ds).addition_gains(model.weight_vector(), pairs)
     best = np.lexsort((codes, -gains))[:k]  # descending gain, ties by edge
     return [(Edge(int(a), int(b)), float(g)) for (a, b), g in zip(pairs[best], gains[best])]

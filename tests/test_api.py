@@ -127,6 +127,22 @@ def test_no_function_takes_tables():
                 assert "tables" not in names, f"{path}:{node.lineno}"
 
 
+def test_minimize_has_one_call_site():
+    # both fits reach the optimizer through one call, inside a fit, where a
+    # tracer that wraps the module attribute sees it
+    sites = []
+    for path in glob.glob(os.path.join(REPO_ROOT, "src", "forced_pruning", "*.py")):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "minimize":
+                    sites.append((os.path.basename(path), node.lineno))
+    assert [file for file, _ in sites] == ["param_learn.py"], sites
+
+
 @pytest.mark.parametrize("args", [
     ["-c", "import forced_pruning, forced_pruning.cli"],
     ["-m", "forced_pruning", "--help"],

@@ -23,7 +23,9 @@ from forced_pruning import (
     tied_fit,
     tying_objective,
 )
-from forced_pruning.param_learn import _maximize, minimize
+from forced_pruning import param_learn
+from forced_pruning.blanket import BlanketTables
+from forced_pruning.param_learn import minimize
 
 from conftest import make_dataset, quantize_reference, random_dataset, random_model
 
@@ -206,11 +208,15 @@ class TestMinimize:
     def test_step_limit_logs_one_warning(self, rng, caplog):
         ds = random_dataset(rng, 4, 60)
         model = random_model(rng, 4, 3)
-        with caplog.at_level(logging.WARNING, logger="forced_pruning.param_learn"):
-            mple_fit(model, ds, FitOptions(max_optimizer_steps=1))
-        assert [(r.name, r.levelno) for r in caplog.records] == [
-            ("forced_pruning.param_learn", logging.WARNING)]
-        assert "MPLE fit stopped" in caplog.records[0].getMessage()
+        partition = quantize_params(model.weight_vector(), 2)
+        for fit, what in ((lambda opts: mple_fit(model, ds, opts), "MPLE fit"),
+                          (lambda opts: tied_fit(model, ds, partition, opts), "tied fit")):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="forced_pruning.param_learn"):
+                fit(FitOptions(max_optimizer_steps=1))
+            assert [(r.name, r.levelno) for r in caplog.records] == [
+                ("forced_pruning.param_learn", logging.WARNING)]
+            assert f"{what} stopped" in caplog.records[0].getMessage()
 
 
 class TestMpleFit:
@@ -254,12 +260,30 @@ class TestMpleFit:
         b = mple_fit(warm, ds, TIGHT)
         np.testing.assert_allclose(a.weight_vector(), b.weight_vector(), atol=1e-4)
 
-    def test_non_finite_objective_raises(self):
-        with pytest.raises(FitError):
-            _maximize(lambda x: (np.inf, np.zeros_like(x)), np.zeros(2), FitOptions(), "test")
+    def test_non_finite_objective_raises(self, rng, monkeypatch):
+        ds = random_dataset(rng, 3, 20)
+        model = random_model(rng, 3, 2)
+        partition = quantize_params(model.weight_vector(), 2)
+        monkeypatch.setattr(BlanketTables, "pll_and_gradient",
+                            lambda self, theta: (np.inf, np.zeros_like(theta)))
+        with pytest.raises(FitError, match="^MPLE fit: objective became non-finite$"):
+            mple_fit(model, ds)
+        with pytest.raises(FitError, match="^tied fit: objective became non-finite$"):
+            tied_fit(model, ds, partition)
 
 
 class TestTiedFit:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from([FitOptions(), TIGHT]))
+    def test_singleton_tying_is_the_plain_fit_byte_for_byte(self, seed, n_vars, opts):
+        # MPLE is the tied fit with one value per parameter
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_vars)
+        ds = random_dataset(rng, n_vars, int(rng.integers(5, 60)))
+        plain = mple_fit(model, ds, opts)
+        tied = tied_fit(model, ds, TyingPartition.singletons(model.weight_vector()), opts)
+        assert tied.weight_vector().tobytes() == plain.weight_vector().tobytes()
+
     def test_singleton_partition_matches_mple(self, rng):
         ds = random_dataset(rng, 4, 70)
         model = random_model(rng, 4, 4, edge_scale=0.5)
@@ -305,6 +329,29 @@ class TestLearnParamsWithApt:
         plain = mple_fit(model, ds, TIGHT)
         np.testing.assert_allclose(
             tied.weight_vector(), plain.weight_vector(), atol=1e-4)
+
+    def test_minimize_runs_once_inside_each_fit(self, rng, monkeypatch):
+        # a tracer that wraps these module attributes counts the minimize
+        # calls under each fit as that fit's evaluations
+        ds = random_dataset(rng, 4, 50)
+        model = random_model(rng, 4, 3)
+        stack, calls = [], []
+
+        def recorder(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, tuple(stack)))
+                stack.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+            return wrapped
+
+        for name in ("minimize", "mple_fit", "tied_fit"):
+            monkeypatch.setattr(param_learn, name, recorder(name, getattr(param_learn, name)))
+        learn_params_with_apt(model, ds, 2)
+        assert calls == [("mple_fit", ()), ("minimize", ("mple_fit",)),
+                         ("tied_fit", ()), ("minimize", ("tied_fit",))]
 
     def test_tying_costs_training_pll(self, rng):
         # fewer clusters can only constrain the fit

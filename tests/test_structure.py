@@ -199,7 +199,7 @@ class TestGreedyAdd:
         for pair in ([(2, 3), (2, 3)], [(2, 3), (3, 2)]):
             with pytest.raises(ValueError, match=re.escape(f"duplicate candidate {pair[1]}")):
                 greedy_add(model, ds, pair, 2)
-        for bad in ((0, 9), (-1, 2)):
+        for bad in ((0, 9), (-1, 2), (0, 2**70), (2**63, 1), (-2**70, 1)):
             with pytest.raises(ValueError, match=re.escape(f"candidate {bad} is out of range")):
                 greedy_add(model, ds, [(2, 3), bad], 1)
         for bad, offender in (([(0, 2, 4), (1, 3)], (0, 2, 4)), ([(0, 2, 4)], (0, 2, 4)),
@@ -233,8 +233,14 @@ class TestGreedyAdd:
                              ([[2, 2]], "edge endpoints must differ, got (2, 2)")):
             with pytest.raises(ValueError, match=re.escape(message)):
                 greedy_add(model, ds, np.array(bad), 1)
+        # a uint64 endpoint past int64 is named as given, not wrapped
+        for bad in ([[2**63, 1]], [[2, 3], [0, 2**64 - 1]]):
+            bad = np.array(bad, dtype=np.uint64)
+            message = f"candidate {tuple(bad[-1].tolist())} is out of range for 4 variables"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                greedy_add(model, ds, bad, 1)
         ends = np.array(pairs)
-        assert structure._endpoints(ends) is ends  # read in place, not copied
+        assert structure._endpoints(ends)[0] is ends  # read in place, not copied
 
     def test_rejects_k_too_large(self, rng):
         model = random_model(rng, 3, 1)
