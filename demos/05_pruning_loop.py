@@ -2,8 +2,12 @@
 
 Samples from a known chain-plus-shortcut graph, lets the loop rearrange
 edges under a hard budget, and prints the per-iteration trace: what was
-deleted, what was added, and how the training score moved.
+deleted, what was added, and how the training score moved. Then runs the
+same configuration with the rejection-sampling deletion heuristic and prints
+how many proposals each exchange took and whether it fell back to greedy.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,3 +51,11 @@ truth = {(j - 1, j) for j in range(1, V)} | {(0, 5)}
 found = {tuple(e) for e in result.model.edges}
 print(f"planted edges recovered: {len(found & truth)}/{len(truth)}")
 print(f"test-style score of returned model: {-pll(result.model, data):.5f}")
+
+sampled = forced_pruning(data, replace(config, heuristic="rejection"))
+print("\nrejection sampling (the same configuration):")
+print("iter  train neg PLL  proposals  fell back")
+for rec in sampled.iterations:
+    print(f"{rec.iteration:4d}  {rec.train_neg_pll:13.5f}  {rec.proposals:9d}  {rec.fell_back}")
+fallbacks = sum(rec.fell_back for rec in sampled.iterations)
+print(f"best iteration: {sampled.best_iteration}, fallbacks: {fallbacks}")

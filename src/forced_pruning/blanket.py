@@ -4,13 +4,14 @@ A variable's conditional P(x_v | rest) depends on a row only through x_v and
 the values of v's neighbours, its Markov blanket. So for a fixed edge set
 every sum the learner needs collapses from the compressed rows to the
 (blanket configuration, x_v) groups of each variable: the PLL and its
-gradient, the loss from zeroing any set of edges, and the gain of adding any
-inactive edge. A group keeps its variable, its count of instances, an exact
-representative row, and (for addition scoring) the count of x_u = 1 within
-the group for every variable u. A variable never has more groups than there
-are unique rows, and a sparse structure has far fewer: the plants Chow-Liu
-tree has about 500 groups in all against about 8000 unique rows per
-variable.
+gradient, the loss from zeroing any set of edges, an upper bound on the PLL
+after zeroing any k edges (the rejection sampler's envelope), and the gain
+of adding any inactive edge. A group keeps its variable, its count of
+instances, an exact representative row, and (for addition scoring) the
+count of x_u = 1 within the group for every variable u. A variable never
+has more groups than there are unique rows, and a sparse structure has far
+fewer: the plants Chow-Liu tree has about 500 groups in all against about
+8000 unique rows per variable.
 
 Groups are keyed by the variable and its blanket, and grouped by
 :func:`dataset.group_rows`, the routine that also deduplicates the rows of
@@ -212,6 +213,28 @@ class BlanketTables:
             return float((total + (new - terms[groups]).sum()) / self.n_instances)
 
         return score
+
+    def subset_bound(self, theta: np.ndarray, k: int) -> float:
+        """An upper bound on the PLL with the weights of any k edges zeroed.
+
+        Zeroing a set S shifts group g's logit by minus the sum of S's weights
+        on g's incident edges. Each group's term is largest when that shift
+        holds the (at most k) most negative incident weights if x_var = 1,
+        the most positive if x_var = 0. The sum of these per-group maxima
+        bounds every k-subset's PLL, and equals the largest one when a single
+        k-subset attains them all.
+        """
+        _, edge = self._split(theta)
+        z = self.logits(theta)
+        # incident weights by group, ascending, and each one's rank from
+        # either end of its group
+        order = np.lexsort((edge[self.inc_edge], self.inc_group))
+        g, w = self.inc_group[order], edge[self.inc_edge[order]]
+        size = np.bincount(g, minlength=self.n_groups)
+        rank = np.arange(g.size) - (np.cumsum(size) - size)[g]
+        keep = np.where(self.x[g] > 0, (rank < k) & (w < 0.0), (size[g] - rank <= k) & (w > 0.0))
+        shift = np.bincount(g[keep], weights=w[keep], minlength=self.n_groups)
+        return float(self._terms(z - shift).sum() / self.n_instances)
 
     def addition_gains(self, theta: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Best PLL gain of adding each candidate edge at one free weight.

@@ -67,7 +67,7 @@ class TyingPartition:
             raise ValueError(f"means must have shape ({self.n_clusters},), got {m.shape}")
         if a.min() < 0 or a.max() >= self.n_clusters:
             raise ValueError("cluster ids must lie in [0, n_clusters)")
-        if np.unique(a).size != self.n_clusters:
+        if not np.bincount(a, minlength=self.n_clusters).all():
             raise ValueError("every cluster must be non-empty")
         a.setflags(write=False)
         m.setflags(write=False)

@@ -143,9 +143,12 @@ def rejection_sample_delete(
 ) -> RejectionOutcome:
     """Sample a k-subset S of active edges with probability ∝ exp(pll without S).
 
-    Proposes uniform k-subsets and accepts a proposal S iff u <= exp(pll of
-    the model with S's weights zeroed), u ~ Uniform(0, 1). The constant-1
-    envelope is valid because the mean per-instance PLL is never positive.
+    Proposes uniform k-subsets and accepts a proposal S iff
+    u <= exp(pll_S - B), where pll_S is the PLL of the model with S's weights
+    zeroed, u ~ Uniform(0, 1), and B >= every pll_S is the blanket tables'
+    :meth:`~forced_pruning.blanket.BlanketTables.subset_bound`. So the
+    accepted subsets follow the target exactly, and the tighter B is, the
+    fewer proposals an exchange takes.
     If ``cap`` proposals are all rejected, falls back to the greedy choice
     and flags it in the outcome.
     """
@@ -157,11 +160,12 @@ def rejection_sample_delete(
         return RejectionOutcome(frozenset(), 0, False)
     # positions in the order of their edges, so the draws follow the edges
     order = sorted(range(len(model.edges)), key=model.edges.__getitem__)
-    score = tables_for(model, ds).subset_scorer(model.weight_vector())
+    tables, theta = tables_for(model, ds), model.weight_vector()
+    score, bound = tables.subset_scorer(theta), tables.subset_bound(theta, k)
     for proposals in range(1, cap + 1):
         subset = _draw_subset(order, k, rng)
         u = rng.random()
-        if u <= np.exp(score(subset)):
+        if u <= np.exp(score(subset) - bound):
             return RejectionOutcome(frozenset(model.edges[j] for j in subset), proposals, False)
     logger.info("no proposal accepted within cap %d, falling back to greedy deletion", cap)
     return RejectionOutcome(frozenset(greedy_delete(model, ds, k)), cap, True)

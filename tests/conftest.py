@@ -274,6 +274,25 @@ def full_width_gains(tables, theta, candidates):
     return np.maximum(gains, 0.0)
 
 
+def reference_subset_bound(model, ds, k):
+    """BlanketTables.subset_bound row by row: each (row, variable) term takes
+    its logit shifted by the (at most k) most negative weights of the
+    variable's edges to a neighbour that is 1 in the row if the variable is
+    1, by the most positive ones if it is 0."""
+    rows, counts = ds.compressed()
+    z = logits(model, rows)
+    total = 0.0
+    for row, count, zr in zip(rows, counts, z):
+        for v in range(model.n_vars):
+            w = sorted(wt for (lo, hi), wt in zip(model.edges, model.edge_weights)
+                       if v in (lo, hi) and row[hi if v == lo else lo] == 1)
+            if row[v] == 1:
+                total += count * _log_sigmoid(zr[v] - sum(x for x in w[:k] if x < 0))
+            else:
+                total += count * _log_sigmoid(-(zr[v] - sum(x for x in w[::-1][:k] if x > 0)))
+    return total / ds.n_instances
+
+
 def conditional_prob_reference(model, x, i):
     """P(X_i = 1 | rest of x) by a loop over the model's edges."""
     z = model.node_weights[i]
@@ -367,9 +386,10 @@ def reference_forced_pruning(ds, config) -> ReferenceRun:
     """forced_pruning the slow way: the active set and the pool are plain
     sets of edges and the weights a dict; deletion scores are row-based
     ``pll - pll_without_edges``, rejection proposals are scored by
-    ``pll_without_edges``, and additions by ``_row_addition_gain``. The fits,
-    the Chow-Liu tree and every RNG draw (the extra edges, each proposal and
-    its uniform, the greedy fallback at the cap) are the same as the loop's."""
+    ``pll_without_edges`` against ``reference_subset_bound``, and additions
+    by ``_row_addition_gain``. The fits, the Chow-Liu tree and every RNG
+    draw (the extra edges, each proposal and its uniform, the greedy
+    fallback at the cap) are the same as the loop's."""
     V, k = ds.n_vars, config.exchange_size
     M = V - 1 + config.extra_edges
     rng = np.random.default_rng(config.seed)
@@ -391,9 +411,10 @@ def reference_forced_pruning(ds, config) -> ReferenceRun:
         deleted, added, proposals, fell_back, tie = [], [], 0, False, False
         if k > 0 and it < config.max_iter:
             if config.heuristic == "rejection":
+                bound = reference_subset_bound(model, ds, k)
                 for proposals in range(1, config.rejection_cap + 1):
                     subset = _draw_subset(edges, k, rng)
-                    bar = math.exp(pll_without_edges(model, ds, subset))
+                    bar = math.exp(pll_without_edges(model, ds, subset) - bound)
                     u = rng.random()
                     tie |= abs(u - bar) <= REF_TIE
                     if u <= bar:

@@ -1,6 +1,7 @@
 """The public names of the package: pinned, resolvable, and all imported; the
-parameters of the functions that share the Markov-blanket tables; and numpy
-as the only third-party module that the package and its CLI load."""
+parameters of the functions that share the Markov-blanket tables; numpy
+as the only third-party module that the package and its CLI load; and a run
+that leaves ``numpy.ma`` unloaded."""
 
 import ast
 import glob
@@ -154,3 +155,22 @@ def test_scipy_is_never_imported(args):
                 if line.startswith("import time:")]
     assert "forced_pruning.cli" in imported
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+def test_a_run_never_imports_numpy_ma():
+    # numpy.ma takes 30-40 ms to import, and a plain np.unique loads it lazily
+    check = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                      check=True).stdout.strip() == "True":
+        pytest.skip("importing numpy loads numpy.ma here")
+    run = (
+        "import sys, numpy as np\n"
+        "from forced_pruning import DataSet, PruningConfig, forced_pruning\n"
+        "X = (np.random.default_rng(0).random((60, 6)) < 0.5).astype(float)\n"
+        "for h in ('greedy', 'rejection'):\n"
+        "    forced_pruning(DataSet(X), PruningConfig(extra_edges=2, exchange_size=2,\n"
+        "                                             heuristic=h, max_iter=3))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

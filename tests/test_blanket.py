@@ -4,6 +4,8 @@ one gives way to the other), the ``ones`` counts summed over the nonzeros,
 the compacted Newton search and the tables carried across an exchange
 against their slow exact references (void-key grouping, per-row addition,
 the full-width Newton loop, a build with nothing to carry), byte for byte.
+The rejection envelope is checked against its row-by-row reference and
+above every enumerated subset's PLL.
 
 Tolerances are fixed from float64 rounding on at most a few hundred rows:
 1e-12 for PLL values, gradients and deletion deltas (all of order 1 per
@@ -12,6 +14,7 @@ whose own error in the weight is below its 1e-10 tolerance.
 """
 
 import pickle
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -36,7 +39,7 @@ from forced_pruning import (
 from forced_pruning import blanket
 from forced_pruning.blanket import BlanketTables, tables_for
 
-from conftest import full_width_gains, random_dataset, void_key_tables
+from conftest import full_width_gains, random_dataset, reference_subset_bound, void_key_tables
 
 RTOL = 1e-12
 GAIN_ATOL = 1e-9
@@ -44,8 +47,8 @@ BOUND = 30.0  # greedy_add searches weights in [-30, 30]
 
 
 @st.composite
-def models_and_data(draw, max_vars=6, max_rows=60):
-    n_vars = draw(st.integers(2, max_vars))
+def models_and_data(draw, max_vars=6, max_rows=60, min_vars=2):
+    n_vars = draw(st.integers(min_vars, max_vars))
     n_rows = draw(st.integers(1, max_rows))
     bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_vars, max_size=n_vars),
                          min_size=n_rows, max_size=n_rows))
@@ -209,6 +212,18 @@ def check_deletions(model, ds):
         assert score(drop) == pytest.approx(expected, abs=RTOL)
 
 
+def check_subset_bound(model, ds):
+    """The bound against its row-by-row reference, and above the PLL of
+    every k-subset of edges zeroed, for every k."""
+    tables = BlanketTables(ds, model.edges)
+    theta = model.weight_vector()
+    for k in range(1, len(model.edges) + 1):
+        bound = tables.subset_bound(theta, k)
+        assert bound == pytest.approx(reference_subset_bound(model, ds, k), rel=RTOL)
+        best = max(pll_without_edges(model, ds, s) for s in combinations(model.edges, k))
+        assert best <= bound + RTOL
+
+
 def check_additions(model, ds):
     pool = [e for e in complete_edges(model.n_vars) if e not in set(model.edges)]
     if not pool:
@@ -230,6 +245,11 @@ class TestAgainstRowReference:
         model, ds = case
         if model.edges:
             check_deletions(model, ds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(models_and_data(min_vars=3))
+    def test_subset_bound(self, case):
+        check_subset_bound(*case)
 
     @settings(max_examples=25, deadline=None)
     @given(models_and_data(max_vars=5, max_rows=40))

@@ -1,6 +1,7 @@
 """Edge scoring, deletion heuristics, greedy addition, and the full loop, also
 against the slow reference loop of conftest."""
 
+import copy
 import gc
 import pickle
 import re
@@ -35,8 +36,20 @@ from conftest import (
     random_dataset,
     random_model,
     reference_forced_pruning,
+    reference_subset_bound,
     sample_dataset,
 )
+
+
+def first_draw_rejected(model, ds, k, rng):
+    """Whether the sampler's first proposal from a copy of ``rng`` is
+    rejected, u > exp(pll_S - B), by the row-based references: the premise
+    of every test that expects a fallback at cap 1."""
+    rng = copy.deepcopy(rng)
+    order = sorted(range(len(model.edges)), key=model.edges.__getitem__)
+    subset = [model.edges[j] for j in structure._draw_subset(order, k, rng)]
+    return rng.random() > np.exp(pll_without_edges(model, ds, subset)
+                                 - reference_subset_bound(model, ds, k))
 
 
 class TestEdgeDeletionScores:
@@ -118,11 +131,12 @@ class TestRejectionSampleDelete:
         assert a == b
 
     def test_cap_falls_back_to_greedy(self, rng):
-        # 10 variables of noise make exp(pll) ~ 1e-3, so one proposal at this
-        # seed is rejected and the fallback must match the greedy choice
+        # the one proposal at this seed is rejected, so the fallback must
+        # match the greedy choice
         model = random_model(np.random.default_rng(3), 10, 12, edge_scale=1.5)
         ds = random_dataset(np.random.default_rng(4), 10, 60)
-        out = rejection_sample_delete(model, ds, 3, np.random.default_rng(0), cap=1)
+        assert first_draw_rejected(model, ds, 3, np.random.default_rng(1))
+        out = rejection_sample_delete(model, ds, 3, np.random.default_rng(1), cap=1)
         assert out.fell_back
         assert out.proposals == 1
         assert out.edges == frozenset(greedy_delete(model, ds, 3))
@@ -439,15 +453,28 @@ class TestSharedTables:
 
     @pytest.mark.parametrize("heuristic, cap", [
         ("greedy", 10000), ("rejection", 10000), ("rejection", 1)])
-    def test_one_build_per_iteration(self, rng, builds, heuristic, cap):
+    def test_one_build_per_iteration(self, rng, builds, monkeypatch, heuristic, cap):
         ds = random_dataset(rng, 6, 80)
         cfg = PruningConfig(extra_edges=3, exchange_size=2, heuristic=heuristic,
-                            max_iter=5, seed=3, rejection_cap=cap)
+                            max_iter=5, seed=0, rejection_cap=cap)
+        first_rejected, sample = [], structure.rejection_sample_delete
+
+        def recording(model, ds, k, rng, cap):
+            first_rejected.append(first_draw_rejected(model, ds, k, rng))
+            return sample(model, ds, k, rng, cap)
+
+        monkeypatch.setattr(structure, "rejection_sample_delete", recording)
         result = forced_pruning(ds, cfg)
         assert len(builds) == cfg.max_iter
         if heuristic == "rejection":
             assert sum(r.proposals for r in result.iterations) > 0
-            assert any(r.fell_back for r in result.iterations) == (cap == 1)
+            fell_back = [r.fell_back for r in result.iterations[:-1]]
+            if cap == 1:
+                # the premise: some first proposal is rejected, and exactly those fall back
+                assert any(first_rejected)
+                assert fell_back == first_rejected
+            else:
+                assert not any(fell_back)
 
     def test_apt_fit_builds_once(self, rng, builds):
         ds = random_dataset(rng, 5, 60)
