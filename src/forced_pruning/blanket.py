@@ -15,20 +15,20 @@ fewer: the plants Chow-Liu tree has about 500 groups in all against about
 
 Groups are keyed by the variable and its blanket, and grouped by
 :func:`dataset.group_rows`, the routine that also deduplicates the rows of
-a dataset, on a column-major uint8 copy of the compressed rows: without a
-sort for a key of at most log2(8 * unique rows) columns, by a stable
-lexsort beyond. So grouping is exact at any blanket size, and the group
-order is the lexicographic row order.
+a dataset, on the column-major uint8 copy of the compressed rows that the
+dataset keeps from its compression: without a sort for a key of at most
+log2(8 * unique rows) columns, by a stable lexsort beyond. So grouping is
+exact at any blanket size, and the group order is the lexicographic row
+order.
 
 A variable's groups depend only on (dataset, variable, blanket), and an
 exchange of k edges changes at most 2k blankets. Tables built while the last
 tables of the same dataset are still held (the weak slot of
 :func:`tables_for`) take each unchanged variable's first rows, counts,
 row-to-group map and, if computed there, ``ones`` rows from them, and
-regroup only the other variables. The copies of the rows that every build
-reads (the uint8 columns and, once ``ones`` was needed, the nonzero pairs)
-carry over too. They keep those arrays, never the older tables, so no chain
-of tables stays alive.
+regroup only the other variables. The nonzero pairs of the rows, once
+``ones`` was needed, carry over too. They keep those arrays, never the
+older tables, so no chain of tables stays alive.
 
 ``ones`` is one weighted ``np.bincount`` per regrouped variable over the
 nonzero (row, u) pairs of the compressed rows, each binned at (group of the
@@ -75,6 +75,7 @@ class BlanketTables:
 
     def __init__(self, ds: DataSet, edges: Sequence[tuple[int, int]]):
         rows, weights = ds.compressed()
+        columns = ds._cache["columns"]  # kept by the compression
         V = ds.n_vars
         self.n_vars = V
         self.n_instances = ds.n_instances
@@ -86,15 +87,12 @@ class BlanketTables:
             neighbours[hi].append(lo)
         self._keys = [(v, *sorted(nb)) for v, nb in enumerate(neighbours)]
         # the last tables of ds, while a caller holds them: their blocks of
-        # every unchanged blanket, and their copies of the rows, carry over
-        # (see the module docstring)
+        # every unchanged blanket, and their nonzero pairs, carry over (see
+        # the module docstring)
         prev = ds._cache.get("tables", lambda: None)()
-        if prev is None:
-            self._columns = np.ascontiguousarray(rows.T, dtype=np.uint8)
-            self._nonzero = prev_ones = None
-        else:
-            self._columns, self._nonzero = prev._columns, prev._nonzero
-            prev_ones = prev.__dict__.get("ones")
+        self._nonzero = prev_ones = None
+        if prev is not None:
+            self._nonzero, prev_ones = prev._nonzero, prev.__dict__.get("ones")
         reps, counts, self._inverse, self._carried_ones = [], [], [], {}
         for v, key in enumerate(self._keys):
             if prev is not None and prev._keys[v] == key:
@@ -103,7 +101,7 @@ class BlanketTables:
                 if prev_ones is not None:
                     self._carried_ones[v] = prev_ones[lo:hi]
             else:
-                first, inv = group_rows(self._columns, key)
+                first, inv = group_rows(columns, key)
                 count = np.bincount(inv, weights=weights)
             reps.append(first)
             counts.append(count)

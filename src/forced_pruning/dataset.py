@@ -5,6 +5,14 @@ Datasets are plain text, one instance per line, 0/1 tokens separated by
 commas (the distribution format of the standard density-estimation
 benchmarks, e.g. nltcs, plants, msnbc) or by whitespace. All variables are
 strictly binary; anything else is a load-time error.
+
+A file in the canonical layout is read in blocks of whole lines of about
+``_BLOCK_BYTES`` into one reused buffer, each block checked and its digits
+written straight into the final uint8 array, which the :class:`DataSet`
+then keeps without a copy; its unique rows are packed from row blocks of
+that array. So a load and its compression hold about one copy of the
+instances plus one block, and a process forked after them inherits no
+other copy.
 """
 
 from __future__ import annotations
@@ -13,9 +21,11 @@ import io
 import os
 import weakref
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
+
+_BLOCK_BYTES = 1 << 19  # the file bytes read, and the instance bytes packed, per block
 
 
 class DatasetFormatError(ValueError):
@@ -39,19 +49,19 @@ class DataSet:
     _cache: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        X = np.asarray(self.X)
-        if X.ndim != 2:
-            raise ValueError(f"instances must form a 2-D array, got ndim={X.ndim}")
-        n, v = X.shape
-        if v < 2:
-            raise ValueError(f"need at least 2 variables, got {v}")
-        if n < 1:
-            raise ValueError("need at least 1 instance")
-        # checked before the cast, which would wrap 256 to 0 and truncate 1.5 to 1;
-        # an unsigned or bool array holds no value below 0, so its maximum decides
-        if not (X.max() <= 1 if X.dtype.kind in "ub" else ((X == 0) | (X == 1)).all()):
-            raise ValueError("instance entries must be 0 or 1")
-        X = np.array(X, dtype=np.uint8, order="C")  # a copy: the caller's writes never reach it
+        # a copy: the caller's writes never reach it
+        self._keep(np.array(_checked(self.X), dtype=np.uint8, order="C"))
+
+    @classmethod
+    def _over(cls, X: np.ndarray, name: str) -> DataSet:
+        """A DataSet over the loader's own C-contiguous uint8 array itself:
+        the constructor's checks without its copy, since no one else holds X."""
+        ds = cls.__new__(cls)
+        object.__setattr__(ds, "name", name)
+        ds._keep(_checked(X))
+        return ds
+
+    def _keep(self, X: np.ndarray) -> None:
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "_cache", {})
@@ -64,7 +74,9 @@ class DataSet:
     def __setstate__(self, state):
         # unpickled arrays come back writable; keep the cache, restore the flags
         self.__dict__.update(state)
-        for a in (self.X, *self._cache.get("compressed", ())):
+        compressed = self._cache.get("compressed", ())
+        columns = (self._cache["columns"],) if compressed else ()  # cached together
+        for a in (self.X, *compressed, *columns):
             a.setflags(write=False)
 
     @property
@@ -88,46 +100,87 @@ class DataSet:
         exactly, so per-instance means computed on the compressed form are
         identical up to float summation order. Rows come out in lexicographic
         order, which also makes such means independent of instance order.
+        The same pass caches the unique rows' column-major uint8 copy, which
+        the blanket tables group, under the key ``"columns"``.
         """
-        return self.cached("compressed", _compress)
+        if "compressed" not in self._cache:
+            rows, weights, self._cache["columns"] = _compress(self)
+            self._cache["compressed"] = rows, weights
+        return self._cache["compressed"]
 
 
-def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray]:
-    first, inv = group_rows(np.ascontiguousarray(ds.X.T), range(ds.n_vars))
-    rows, weights = ds.X[first].astype(np.float64), np.bincount(inv).astype(np.float64)
-    rows.setflags(write=False)
-    weights.setflags(write=False)
-    return rows, weights
+def _checked(X) -> np.ndarray:
+    """``X`` as an array, once it is known to be a 2-D table of 0/1 entries
+    with at least 2 variables and 1 instance."""
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError(f"instances must form a 2-D array, got ndim={X.ndim}")
+    n, v = X.shape
+    if v < 2:
+        raise ValueError(f"need at least 2 variables, got {v}")
+    if n < 1:
+        raise ValueError("need at least 1 instance")
+    # checked before the cast, which would wrap 256 to 0 and truncate 1.5 to 1;
+    # an unsigned or bool array holds no value below 0, so its maximum decides
+    if not (X.max() <= 1 if X.dtype.kind in "ub" else ((X == 0) | (X == 1)).all()):
+        raise ValueError("instance entries must be 0 or 1")
+    return X
+
+
+def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unique rows as float64, their multiplicities, and the unique rows'
+    column-major uint8 copy. The rows are grouped through the transposed
+    view of ``X``, so no transposed copy of it is made."""
+    X = ds.X
+    first, inv = group_rows(X.T, range(ds.n_vars))
+    step = _BLOCK_BYTES // 8  # rows per np.bincount, which reads its input as intp
+    counts = sum(np.bincount(inv[start:start + step], minlength=first.size)
+                 for start in range(0, inv.size, step))
+    unique = X[first]
+    out = unique.astype(np.float64), counts.astype(np.float64), np.ascontiguousarray(unique.T)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def group_rows(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows by their ``key`` columns: the first row of each group,
     and the int32 group of every row, groups in lexicographic row order.
 
-    ``columns`` is the column-major uint8 0/1 copy of the rows. The key
-    columns are packed into words by shift-or, the first column most
-    significant, so key order is the lexicographic row order: a key of at
-    most 32 columns into one uint32 word, a wider one into a uint64 word
-    per 64 columns. A key of at most log2(8 * rows) columns is grouped
-    without a sort, by marking its codes in a table of all 2**len(key)
-    codes; a wider one by a stable lexsort of its words. Up to 8 codes per
-    row, marking and counting the table is still faster than sorting.
+    ``columns`` is a column-major uint8 0/1 copy or view of the rows. The
+    key columns are packed into words by shift-or, a block of rows at a
+    time, the first column most significant, so key order is the
+    lexicographic row order: a key of at most 32 columns into one uint32
+    word, a wider one into a uint64 word per 64 columns. A key of at most
+    log2(8 * rows) columns is grouped without a sort, by marking its codes
+    in a table of all 2**len(key) codes; a wider one by a stable lexsort of
+    its words. Up to 8 codes per row, marking and counting the table is
+    still faster than sorting.
     """
     n = columns.shape[1]
     bits = 32 if len(key) <= 32 else 64
     words = np.zeros((-(-len(key) // bits), n), dtype=f"u{bits // 8}")
-    for i, c in enumerate(key):
-        word = words[i // bits]
-        word <<= 1
-        word |= columns[c]
+    step = max(1, _BLOCK_BYTES // len(key))  # rows whose key bytes make a block
+    for start in range(0, n, step):
+        for i, c in enumerate(key):
+            word = words[i // bits, start:start + step]
+            word <<= 1
+            word |= columns[c, start:start + step]
     if 2 ** len(key) <= 8 * n:
         code = words[0]
-        present = np.zeros(2 ** len(key), dtype=bool)
-        present[code] = True
-        ids = np.cumsum(present, dtype=np.int32)
-        inv = ids[code] - 1
+        # marked, numbered and looked up a block of rows at a time: about 32
+        # bytes of index temporaries per row, never as many rows as there are
+        step = _BLOCK_BYTES // 32
+        blocks = [slice(start, start + step) for start in range(0, n, step)]
+        ids = np.zeros(2 ** len(key), dtype=np.int32)
+        for b in blocks:
+            ids[code[b]] = 1
+        np.cumsum(ids, out=ids)  # in place: each present code's group plus 1
+        inv = np.empty(n, dtype=np.int32)
         first = np.full(ids[-1], n, dtype=np.intp)
-        np.minimum.at(first, inv, np.arange(n))
+        for b in blocks:
+            inv[b] = ids[code[b]] - 1
+            np.minimum.at(first, inv[b], np.arange(b.start, min(b.stop, n)))
         return first, inv
     order = np.lexsort(words[::-1])  # the last key sorts first
     ordered = words[:, order]
@@ -146,9 +199,9 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
 
     The separator is chosen from the first line: comma if it has one,
     whitespace otherwise. A file in the canonical layout (every line
-    ``[01](sep[01])*\\n`` with one separator byte) is parsed and checked by
-    one numpy subtraction and one maximum; any other file goes through the
-    line-by-line parser.
+    ``[01](sep[01])*\\n`` with one separator byte) is read in blocks, each
+    parsed and checked by one numpy subtraction and one maximum; any other
+    file goes through the line-by-line parser.
 
     Raises:
         DatasetFormatError: empty file, ragged line lengths, a line whose
@@ -161,16 +214,16 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
     with open(path, "rb") as fh:
-        data = fh.read()
-    X = _parse_canonical(data)
+        X = _read_canonical(fh)
     if X is not None:
-        return DataSet(X=X, name=name)
+        return DataSet._over(X, name)
     buf = bytearray()
     width = None
     sep = None
     n_rows = 0
     # a non-ASCII byte decodes to a lone surrogate, which fails as a token
-    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape") as fh:
+    with open(path, "rb") as raw, io.TextIOWrapper(
+            raw, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -201,26 +254,42 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
     return DataSet(X=X, name=name)
 
 
-def _parse_canonical(data: bytes) -> np.ndarray | None:
-    """0/1 matrix of a canonical-layout file, or None for any other input.
+def _read_canonical(fh: BinaryIO) -> np.ndarray | None:
+    """0/1 matrix of a canonical-layout file read from the start of ``fh``,
+    or None for any other input.
 
-    Every line must have the first line's byte length, so the file reshapes
-    to one row per line of (digit, separator) byte pairs, the newline taking
-    the last separator's place. Read as little-endian uint16, each pair less
-    its expected value ("0" and the separator) is the digit's 0 or 1 exactly
-    when both bytes are right: a digit byte below "0" wraps and borrows from
-    the separator byte, and any other wrong byte leaves more than 1, so one
-    maximum checks every byte.
+    Every line must have the first line's byte length, so the file is one
+    row per line of (digit, separator) byte pairs, the newline taking the
+    last separator's place; only the last line may lack its newline. Read
+    as little-endian uint16, each pair less its expected value ("0" and the
+    separator) is the digit's 0 or 1 exactly when both bytes are right: a
+    digit byte below "0" wraps and borrows from the separator byte, and any
+    other wrong byte leaves more than 1, so one maximum checks every byte.
+    Blocks of whole lines are read into one reused buffer, checked so, and
+    their digits written straight into the result.
     """
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    stride = data.find(b"\n") + 1  # bytes per line, newline included
-    if stride < 4 or stride % 2 or len(data) % stride or data[1] not in b", \t":
+    first = fh.readline()
+    stride = len(first) + (not first.endswith(b"\n"))  # bytes per line, newline included
+    n, tail = divmod(fh.seek(0, io.SEEK_END), stride)
+    if stride < 4 or stride % 2 or first[1] not in b", \t" or tail not in (0, stride - 1):
         return None
-    expected = np.full(stride // 2, ord("0") | data[1] << 8, dtype="<u2")
+    n += tail > 0
+    expected = np.full(stride // 2, ord("0") | first[1] << 8, dtype="<u2")
     expected[-1] = ord("0") | ord("\n") << 8
-    digits = np.frombuffer(data, dtype="<u2").reshape(-1, stride // 2) - expected
-    return digits if digits.max() <= 1 else None
+    X = np.empty((n, stride // 2), dtype=np.uint8)
+    step = max(1, _BLOCK_BYTES // stride)  # lines per block
+    buf = np.empty((min(step, n), stride // 2), dtype="<u2")
+    fh.seek(0)
+    for start in range(0, n, step):
+        block = buf[:n - start]
+        got = fh.readinto(block)
+        # a short read leaves newlines, which pass only as the last line's own
+        block.view(np.uint8).reshape(-1)[got:] = ord("\n")
+        block -= expected
+        if block.max() > 1:
+            return None
+        X[start:start + step] = block
+    return X
 
 
 def _line_error(path: str, lineno: int, line: str, sep: str | None, message: str) -> DatasetFormatError:

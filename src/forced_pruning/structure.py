@@ -12,6 +12,7 @@ build for their (dataset, edge set).
 
 from __future__ import annotations
 
+import functools
 import logging
 import operator
 import time
@@ -241,6 +242,17 @@ def _pairs(codes: np.ndarray, V: int) -> np.ndarray:
     return np.column_stack(np.divmod(codes, V))
 
 
+@functools.lru_cache(maxsize=8)
+def _edge_table(V: int) -> np.ndarray:
+    """One read-only Edge per code lo*V + hi of the upper triangle, shared by
+    every record's pool_edges in every run over V variables."""
+    edge_of = np.empty(V * V, dtype=object)
+    upper = np.triu(np.ones((V, V), dtype=bool), 1).ravel()
+    edge_of[upper] = np.fromiter(complete_edges(V), dtype=object, count=V * (V - 1) // 2)
+    edge_of.setflags(write=False)
+    return edge_of
+
+
 def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
     """Learn a pairwise model of exactly M edges by iterative edge exchange.
 
@@ -271,9 +283,7 @@ def forced_pruning(train: DataSet, config: PruningConfig) -> PruningResult:
     active[[lo * V + hi for lo, hi in chow_liu_tree(train)]] = True
     active[_draw_subset(np.flatnonzero(upper & ~active), config.extra_edges, rng)] = True
     pool_codes = np.flatnonzero(upper & ~active)
-    # one Edge per code, shared by every record's pool_edges
-    edge_of = np.empty(V * V, dtype=object)
-    edge_of[upper] = np.fromiter(complete_edges(V), dtype=object, count=n_edges)
+    edge_of = _edge_table(V)
 
     model = PairwiseModel.zeros(V, _pairs(np.flatnonzero(active), V))
     c = min(config.apt_clusters, model.n_params)

@@ -1,11 +1,15 @@
 """Dataset loading, validation, compression, and the counts behind the MI."""
 
 import concurrent.futures
+import gc
+import io
 import math
 import multiprocessing
 import os
 import re
 import tempfile
+import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -22,17 +26,18 @@ from forced_pruning import (
     mutual_information_matrix,
 )
 from forced_pruning import dataset as dataset_mod
-from forced_pruning.dataset import _parse_canonical
+from forced_pruning.dataset import _read_canonical, group_rows
 
 from conftest import make_dataset, mi_from_counts, pair_table, random_dataset, write_data_file
 
 
 def _state_in_worker(ds):
     """What a pool worker sees of a DataSet it was sent: the cached keys, the
-    writable flags of X and of the compressed arrays, and the tree."""
+    writable flags of X, of the compressed arrays and of the unique rows'
+    columns, and the tree."""
     cached = sorted(ds._cache)
     rows, weights = ds.compressed()
-    flags = [a.flags.writeable for a in (ds.X, rows, weights)]
+    flags = [a.flags.writeable for a in (ds.X, rows, weights, ds._cache["columns"])]
     return cached, flags, chow_liu_tree(ds)
 
 
@@ -107,9 +112,14 @@ class TestLoadDataset:
             load_dataset(str(tmp_path / "absent.data"))
 
 
+def parse_canonical(data):
+    """The canonical reader on the bytes of a file."""
+    return _read_canonical(io.BytesIO(data))
+
+
 def load_by_lines(path):
     """load_dataset with the canonical fast path switched off."""
-    with mock.patch.object(dataset_mod, "_parse_canonical", lambda data: None):
+    with mock.patch.object(dataset_mod, "_read_canonical", lambda fh: None):
         return load_dataset(path)
 
 
@@ -145,8 +155,46 @@ def canonical_files_with_one_byte_changed(draw):
     return data, draw(st.integers(0, len(data) - 1)), byte
 
 
+def one_changed_byte_cases(test):
+    """``test(self, case)`` run on 300 cases of
+    :func:`canonical_files_with_one_byte_changed` and on these examples."""
+    # each pair (digit, separator) is read as one little-endian uint16 less
+    # the expected pair: a digit below "0" wraps and borrows from the
+    # separator byte, a digit above "1" or a separator off by one leaves more
+    # than 1, and the newline slot is checked like a separator
+    for case in [
+        (b"0,1,1\n1,0,1\n", 2, ord("/")),
+        (b"0,1,1\n1,0,1\n", 10, ord("2")),
+        (b"0 1 1\n1 0 1", 10, ord("/")),
+        (b"0,1\n1,0\n", 1, ord(",") - 1),
+        (b"0,1\n1,0\n", 5, ord(",") + 1),
+        (b"0 1\n1 0\n", 1, ord(" ") - 1),
+        (b"0 1\n1 0\n", 1, ord(" ") + 1),
+        (b"0\t1\n1\t0\n", 5, ord("\t") - 1),
+        (b"0\t1\n1\t0\n", 5, ord("\t") + 1),
+        (b"0 1\n1 0\n", 3, 0x0B),
+        (b"0,1\n1,0\n", 7, 0x0B),
+        (b"0 1 0\n", 5, 0x0B),
+        (b"0,1\n1,0\n", 4, ord("0")),
+    ]:
+        test = example(case)(test)
+    test = given(canonical_files_with_one_byte_changed())(test)
+    return settings(max_examples=300, deadline=None)(test)
+
+
+def assert_one_changed_byte_matches_line_parser(case):
+    data, pos, byte = case
+    data = data[:pos] + bytes([byte]) + data[pos + 1:]
+    assert (parse_canonical(data) is not None) == is_canonical(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.data")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert load_outcome(load_dataset, path) == load_outcome(load_by_lines, path)
+
+
 class TestCanonicalFastPath:
-    """The one-pass numpy parser against the line-by-line parser."""
+    """The canonical block reader against the line-by-line parser."""
 
     @pytest.mark.parametrize("sep", [",", " ", "\t"], ids=["comma", "space", "tab"])
     @pytest.mark.parametrize("final_newline", [True, False])
@@ -160,7 +208,7 @@ class TestCanonicalFastPath:
             text = "\n".join(sep.join(map(str, row)) for row in X)
             p = tmp_path / "canon.train.data"
             p.write_bytes(text.encode() + (b"\n" if final_newline else b""))
-            assert _parse_canonical(p.read_bytes()) is not None
+            assert parse_canonical(p.read_bytes()) is not None
             with monkeypatch.context() as m:
                 m.setattr(dataset_mod.io, "TextIOWrapper", line_parser_ran)
                 ds = load_dataset(str(p))
@@ -204,41 +252,125 @@ class TestCanonicalFastPath:
         # reshapes; the column check must still reject it
         data = text.encode()
         assert len(data) % (data.index(b"\n") + 1) == 0
-        assert _parse_canonical(data) is None
+        assert parse_canonical(data) is None
         p = tmp_path / "d.data"
         p.write_bytes(data)
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(str(p))
         assert str(err.value) == f"{p}: {message}"
 
-    @settings(max_examples=300, deadline=None)
-    @given(canonical_files_with_one_byte_changed())
-    # each pair (digit, separator) is read as one little-endian uint16 less
-    # the expected pair: a digit below "0" wraps and borrows from the
-    # separator byte, a digit above "1" or a separator off by one leaves more
-    # than 1, and the newline slot is checked like a separator
-    @example((b"0,1,1\n1,0,1\n", 2, ord("/")))
-    @example((b"0,1,1\n1,0,1\n", 10, ord("2")))
-    @example((b"0 1 1\n1 0 1", 10, ord("/")))
-    @example((b"0,1\n1,0\n", 1, ord(",") - 1))
-    @example((b"0,1\n1,0\n", 5, ord(",") + 1))
-    @example((b"0 1\n1 0\n", 1, ord(" ") - 1))
-    @example((b"0 1\n1 0\n", 1, ord(" ") + 1))
-    @example((b"0\t1\n1\t0\n", 5, ord("\t") - 1))
-    @example((b"0\t1\n1\t0\n", 5, ord("\t") + 1))
-    @example((b"0 1\n1 0\n", 3, 0x0B))
-    @example((b"0,1\n1,0\n", 7, 0x0B))
-    @example((b"0 1 0\n", 5, 0x0B))
-    @example((b"0,1\n1,0\n", 4, ord("0")))
+    @one_changed_byte_cases
     def test_one_changed_byte_matches_line_parser(self, case):
-        data, pos, byte = case
-        data = data[:pos] + bytes([byte]) + data[pos + 1:]
-        assert (_parse_canonical(data) is not None) == is_canonical(data)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "d.data")
-            with open(path, "wb") as fh:
-                fh.write(data)
-            assert load_outcome(load_dataset, path) == load_outcome(load_by_lines, path)
+        assert_one_changed_byte_matches_line_parser(case)
+
+
+class TestCanonicalFastPathInSmallBlocks(TestCanonicalFastPath):
+    """The same cases read in blocks of 40 bytes: a file spans several blocks
+    of a few lines, a line of 17 or more values is longer than a block, a
+    bad byte can sit in any block, and a missing final newline leaves the
+    last block one byte short."""
+
+    BLOCK = 40
+
+    @pytest.fixture(autouse=True, scope="class")
+    def small_blocks(self):
+        with mock.patch.object(dataset_mod, "_BLOCK_BYTES", self.BLOCK):
+            yield
+
+    @one_changed_byte_cases  # its own test function: hypothesis runs each in one class
+    def test_one_changed_byte_matches_line_parser(self, case):
+        assert_one_changed_byte_matches_line_parser(case)
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("n_vars", [2, 3, 17, 69])
+    def test_reads_whole_lines_per_block(self, rng, n_vars, final_newline):
+        class Reads(io.BytesIO):
+            def readinto(self, b):
+                sizes.append(memoryview(b).nbytes)
+                return super().readinto(b)
+
+        sizes = []
+        X = (rng.random((25, n_vars)) < 0.5).astype(int)
+        data = "\n".join(",".join(map(str, row)) for row in X).encode()
+        data += b"\n" if final_newline else b""
+        np.testing.assert_array_equal(_read_canonical(Reads(data)), X)
+        stride = 2 * n_vars
+        lines = max(1, self.BLOCK // stride)
+        assert sizes == [stride * min(lines, 25 - start) for start in range(0, 25, lines)]
+
+    @pytest.mark.parametrize("row", [0, 7, 13, 24])
+    @pytest.mark.parametrize("byte", [ord("2"), ord("/"), ord(";"), 0x0B])
+    def test_bad_byte_in_any_block_sends_the_file_to_the_line_parser(self, tmp_path, row, byte):
+        # 25 lines of 3 values, 6 lines per block: rows 0, 7, 13 and 24 sit
+        # in the first, second, third and (short) last block
+        lines = [bytearray(b"0,1,1\n") for _ in range(25)]
+        lines[row][2 * (row % 3) + (byte in (ord(";"), 0x0B))] = byte
+        data = b"".join(lines)
+        assert parse_canonical(data) is None
+        p = tmp_path / "d.data"
+        p.write_bytes(data)
+        assert load_outcome(load_dataset, str(p)) == load_outcome(load_by_lines, str(p))
+        assert f"line {row + 1}:" in load_outcome(load_dataset, str(p))
+
+
+class TestLoadMemory:
+    """A canonical load holds one copy of the instances plus one block, and
+    its compression makes no second copy of them."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        # 20,000 rows of 17 values drawn from 300 patterns, so that the
+        # unique rows stay few, as in the msnbc split
+        rng = np.random.default_rng(7)
+        patterns = (rng.random((300, 17)) < 0.3).astype(int)
+        X = patterns[rng.integers(0, 300, 20_000)]
+        path = tmp_path_factory.mktemp("memory") / "wide.train.data"
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in X))
+        return str(path)
+
+    @pytest.mark.parametrize("block", [dataset_mod._BLOCK_BYTES, 1 << 16])
+    def test_peak_is_one_copy_plus_one_block(self, path, block):
+        # a 64 KiB block is a fifth of X: a second copy of X would show
+        with mock.patch.object(dataset_mod, "_BLOCK_BYTES", block):
+            tracemalloc.start()  # numpy reports its buffers here
+            try:
+                ds = load_dataset(path)
+                load_peak = tracemalloc.get_traced_memory()[1]
+                ds.compressed()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        n, v = ds.X.shape
+        one_copy_and_a_block = ds.X.nbytes + block + 64 * 1024
+        assert load_peak <= one_copy_and_a_block
+        # compression adds its key words and groups (4 bytes per row each) and
+        # its table of all 2**17 codes (4 bytes each), never a copy of X
+        assert peak <= one_copy_and_a_block + 8 * n + 4 * 2**v
+
+    def test_loaded_instances_are_read_only_and_held_by_the_dataset_alone(self, path):
+        read = []
+        with mock.patch.object(dataset_mod, "_read_canonical",
+                               lambda fh: read.append(_read_canonical(fh)) or read[0]):
+            ds = load_dataset(path)
+        X = ds.X
+        assert X is read.pop()  # the reader's array itself, not a copy
+        assert X.dtype == np.uint8 and X.flags.c_contiguous and X.flags.owndata
+        assert not X.flags.writeable
+        with pytest.raises(ValueError):
+            X[0, 0] = 1
+        # X owns its buffer, so a view of it would keep it alive: once the
+        # dataset goes, nothing of the loader may hold it
+        gone = weakref.ref(X)
+        del ds, X
+        gc.collect()
+        assert gone() is None
+
+    def test_loader_path_runs_the_constructor_checks(self):
+        for X, message in [(np.zeros((2, 1), np.uint8), "at least 2 variables"),
+                           (np.zeros((0, 2), np.uint8), "at least 1 instance"),
+                           (np.array([[0, 2]], np.uint8), "must be 0 or 1")]:
+            with pytest.raises(ValueError, match=message):
+                DataSet._over(X, "d")
 
 
 class TestDataSetValidation:
@@ -300,7 +432,7 @@ class TestDataSetValidation:
         with concurrent.futures.ProcessPoolExecutor(
                 1, mp_context=multiprocessing.get_context("spawn")) as pool:
             state = pool.submit(_state_in_worker, ds).result()
-        assert state == (["chow_liu_tree", "compressed"], [False] * 3, tree)
+        assert state == (["chow_liu_tree", "columns", "compressed"], [False] * 4, tree)
 
     def test_compressed_preserves_weighted_counts(self, toy_dataset):
         rows, weights = toy_dataset.compressed()
@@ -336,6 +468,26 @@ class TestDataSetValidation:
             rebuilt = np.repeat(rows, weights.astype(int), axis=0)
             orig = ds.X[np.lexsort(ds.X.T[::-1])]
             np.testing.assert_array_equal(rebuilt, orig)
+
+
+    @pytest.mark.parametrize("block", [64, 256])
+    def test_compressed_in_small_row_blocks(self, rng, block):
+        # blocks of a few rows: the key packing, the code table's marking and
+        # look-up and the counts each span many blocks, for code buckets
+        # (up to 11 columns here) and for the lexsort beyond
+        for n_vars in (2, 7, 11, 12, 33, 65):
+            patterns = rng.random((12, n_vars)) < 0.5
+            ds = DataSet(patterns[rng.integers(0, 12, 300)])
+            whole = group_rows(ds.X.T.copy(), range(n_vars))
+            with mock.patch.object(dataset_mod, "_BLOCK_BYTES", block):
+                rows, weights = ds.compressed()
+                blocked = group_rows(ds.X.T, range(n_vars))
+            for a, b in zip(blocked, whole):
+                np.testing.assert_array_equal(a, b)
+            ref_rows, ref_counts = np.unique(ds.X, axis=0, return_counts=True)
+            np.testing.assert_array_equal(rows, ref_rows)
+            np.testing.assert_array_equal(weights, ref_counts)
+            np.testing.assert_array_equal(ds._cache["columns"], ref_rows.T)
 
 
 class TestCounts:

@@ -513,7 +513,8 @@ class TestSharedTables:
         cfg = PruningConfig(extra_edges=2, exchange_size=2, max_iter=3)
         result = forced_pruning(ds, cfg)
         clone = pickle.loads(pickle.dumps(ds))
-        assert sorted(clone._cache) == ["chow_liu_tree", "compressed"]
+        assert sorted(clone._cache) == ["chow_liu_tree", "columns", "compressed"]
+        assert not clone._cache["columns"].flags.writeable
         held = tables_for(result.model, ds)  # a live slot is left out too
         assert "tables" in ds._cache and "tables" not in pickle.loads(pickle.dumps(ds))._cache
         again = forced_pruning(clone, cfg)
