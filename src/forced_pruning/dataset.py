@@ -7,11 +7,14 @@ benchmarks, e.g. nltcs, plants, msnbc) or by whitespace. All variables are
 strictly binary; anything else is a load-time error.
 
 A file in the canonical layout is read in blocks of whole lines of about
-``_BLOCK_BYTES`` into one reused buffer, each block checked and its digits
-written straight into the final uint8 array, which the :class:`DataSet`
-then keeps without a copy; its unique rows are packed from row blocks of
-that array. So a load and its compression hold about one copy of the
-instances plus one block, and a process forked after them inherits no
+``_BLOCK_BYTES`` into one reused buffer. Each block is checked against a
+fixed tile of expected lines, so numpy's inner loops run over whole tiles,
+and its digits are written straight into the final uint8 array, which the
+:class:`DataSet` then keeps without a copy. Its unique rows are packed 8
+columns at a time from row blocks of that array and, when the rows are
+narrow enough, counted through a table of all row codes without a sort or
+a row-to-group map. So a load and its compression hold about one copy of
+the instances plus one block, and a process forked after them inherits no
 other copy.
 """
 
@@ -26,6 +29,8 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 _BLOCK_BYTES = 1 << 19  # the file bytes read, and the instance bytes packed, per block
+_TILE_ROWS = 64  # lines of expected (digit, separator) pairs the loader subtracts at once
+_SPREAD = np.uint64(0x8040201008040201)  # gathers bit 0 of 8 bytes into the top byte
 
 
 class DatasetFormatError(ValueError):
@@ -100,8 +105,11 @@ class DataSet:
         exactly, so per-instance means computed on the compressed form are
         identical up to float summation order. Rows come out in lexicographic
         order, which also makes such means independent of instance order.
-        The same pass caches the unique rows' column-major uint8 copy, which
-        the blanket tables group, under the key ``"columns"``.
+        Rows of at most log2(8 * instances) columns are counted through a
+        table of all row codes, wider ones grouped by a sort (see
+        :func:`_compress`). The same pass caches the unique rows'
+        column-major uint8 copy, which the blanket tables group, under the
+        key ``"columns"``.
         """
         if "compressed" not in self._cache:
             rows, weights, self._cache["columns"] = _compress(self)
@@ -129,34 +137,88 @@ def _checked(X) -> np.ndarray:
 
 def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unique rows as float64, their multiplicities, and the unique rows'
-    column-major uint8 copy. The rows are grouped through the transposed
-    view of ``X``, so no transposed copy of it is made."""
+    column-major uint8 copy.
+
+    Rows of at most log2(8 * rows) columns are one code each: the codes that
+    occur are marked and numbered in the table of all codes, counted by a
+    blocked ``np.bincount`` of their rows' table entries and decoded into
+    the unique rows, so no row-to-group map is made. Wider rows are grouped
+    by the stable lexsort of :func:`group_rows`.
+    """
     X = ds.X
-    first, inv = group_rows(X.T, range(ds.n_vars))
-    step = _BLOCK_BYTES // 8  # rows per np.bincount, which reads its input as intp
-    counts = sum(np.bincount(inv[start:start + step], minlength=first.size)
-                 for start in range(0, inv.size, step))
-    unique = X[first]
+    n, v = X.shape
+    words = _row_words(X)
+    if 2 ** v <= 8 * n:
+        code = words[0]
+        step = _BLOCK_BYTES // 32  # rows per block: about 20 bytes of index temporaries each
+        blocks = [slice(start, start + step) for start in range(0, n, step)]
+        ids = _code_table(code, v, blocks)
+        k = int(ids[-1])
+        # the code of group g is the first entry of the running count to reach g + 1
+        present = np.searchsorted(ids, np.arange(1, k + 1, dtype=np.int32))
+        counts = sum(np.bincount(ids[code[b]], minlength=k + 1) for b in blocks)[1:]
+        unique = ((present[:, None] >> np.arange(v - 1, -1, -1)) & 1).astype(np.uint8)
+    else:
+        order, new = _sorted_groups(words)
+        starts = np.flatnonzero(new)
+        counts = np.diff(starts, append=n)
+        unique = X[order[starts]]
     out = unique.astype(np.float64), counts.astype(np.float64), np.ascontiguousarray(unique.T)
     for a in out:
         a.setflags(write=False)
     return out
 
 
-def group_rows(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows by their ``key`` columns: the first row of each group,
-    and the int32 group of every row, groups in lexicographic row order.
+def _row_words(X: np.ndarray) -> np.ndarray:
+    """The rows of the C-contiguous 0/1 uint8 array ``X`` packed, a block of
+    rows at a time, into the words that :func:`group_rows` packs from a key
+    of every column, equal to them bit for bit.
 
-    ``columns`` is a column-major uint8 0/1 copy or view of the rows. The
-    key columns are packed into words by shift-or, a block of rows at a
-    time, the first column most significant, so key order is the
-    lexicographic row order: a key of at most 32 columns into one uint32
-    word, a wider one into a uint64 word per 64 columns. A key of at most
-    log2(8 * rows) columns is grouped without a sort, by marking its codes
-    in a table of all 2**len(key) codes; a wider one by a stable lexsort of
-    its words. Up to 8 codes per row, marking and counting the table is
-    still faster than sorting.
+    A row of 8 or more columns is packed 8 bytes at a time: the
+    little-endian uint64 read over 8 bytes of a row, times ``_SPREAD`` and
+    shifted right by 56, is those 8 columns as one byte, the first column in
+    the high bit. A word's last ``v % 8`` columns are the low bits of the
+    read that ends at its last column. A row of fewer than 8 columns is
+    packed by shift-or.
     """
+    n, v = X.shape
+    if v < 8:
+        return _shift_or_words(X.T, range(v))
+    bits = 32 if v <= 32 else 64
+    words = np.empty((-(-v // bits), n), dtype=f"u{bits // 8}")
+    step = max(1, _BLOCK_BYTES // v)  # rows whose bytes make a block
+    acc = np.empty(min(step, n), dtype=np.uint64)
+    tmp = np.empty_like(acc)
+    for start in range(0, n, step):
+        a, t = acc[:n - start], tmp[:n - start]
+        for i, lo in enumerate(range(0, v, bits)):
+            hi = min(v, lo + bits)
+            tail = (hi - lo) % 8
+            if tail:  # the low bits of the read that ends at the word's last column
+                np.bitwise_and(_eight_columns(X, start, hi - 8, a), (1 << tail) - 1, out=a)
+            else:
+                a[:] = 0
+            for j in range(lo, hi - 7, 8):
+                a |= np.left_shift(_eight_columns(X, start, j, t), hi - j - 8, out=t)
+            words[i, start:start + step] = a
+    return words
+
+
+def _eight_columns(X: np.ndarray, start: int, j: int, out: np.ndarray) -> np.ndarray:
+    """Columns ``j`` to ``j + 7`` of ``len(out)`` rows of ``X`` from row
+    ``start`` on, as one byte per row in ``out``, column ``j`` in the high bit."""
+    v = X.shape[1]
+    window = np.ndarray(out.shape, "<u8", X, offset=start * v + j, strides=(v,))
+    np.multiply(window, _SPREAD, out=out)
+    out >>= 56
+    return out
+
+
+def _shift_or_words(columns: np.ndarray, key: Sequence[int]) -> np.ndarray:
+    """The ``key`` columns of a column-major copy or view of the rows,
+    packed a block of rows at a time by shift-or, the first column most
+    significant: a key of at most 32 columns into one uint32 word per row, a
+    wider one into a uint64 word per 64 columns."""
     n = columns.shape[1]
     bits = 32 if len(key) <= 32 else 64
     words = np.zeros((-(-len(key) // bits), n), dtype=f"u{bits // 8}")
@@ -166,29 +228,62 @@ def group_rows(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.
             word = words[i // bits, start:start + step]
             word <<= 1
             word |= columns[c, start:start + step]
+    return words
+
+
+def group_rows(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows by their ``key`` columns: the first row of each group,
+    and the int32 group of every row, groups in lexicographic row order.
+
+    ``columns`` is a column-major uint8 0/1 copy or view of the rows. The
+    key columns are packed into words by :func:`_shift_or_words`, so key
+    order is the lexicographic row order. A key of at most log2(8 * rows)
+    columns is grouped without a sort, by marking its codes in a table of
+    all 2**len(key) codes; a wider one by a stable lexsort of its words. Up
+    to 8 codes per row, marking and counting the table is still faster than
+    sorting.
+    """
+    n = columns.shape[1]
+    words = _shift_or_words(columns, key)
     if 2 ** len(key) <= 8 * n:
         code = words[0]
         # marked, numbered and looked up a block of rows at a time: about 32
         # bytes of index temporaries per row, never as many rows as there are
         step = _BLOCK_BYTES // 32
         blocks = [slice(start, start + step) for start in range(0, n, step)]
-        ids = np.zeros(2 ** len(key), dtype=np.int32)
-        for b in blocks:
-            ids[code[b]] = 1
-        np.cumsum(ids, out=ids)  # in place: each present code's group plus 1
+        ids = _code_table(code, len(key), blocks)
         inv = np.empty(n, dtype=np.int32)
         first = np.full(ids[-1], n, dtype=np.intp)
         for b in blocks:
             inv[b] = ids[code[b]] - 1
             np.minimum.at(first, inv[b], np.arange(b.start, min(b.stop, n)))
         return first, inv
-    order = np.lexsort(words[::-1])  # the last key sorts first
-    ordered = words[:, order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    order, new = _sorted_groups(words)
     inv = np.empty(n, dtype=np.int32)
     inv[order] = np.cumsum(new, dtype=np.int32) - 1
     return order[new], inv
+
+
+def _code_table(code: np.ndarray, bits: int, blocks: Sequence[slice]) -> np.ndarray:
+    """The int32 table of all 2**bits codes holding, at each code present in
+    ``code``, its group plus 1, groups in code order: the present codes are
+    marked a block of rows at a time and the marks summed in place."""
+    ids = np.zeros(2 ** bits, dtype=np.int32)
+    for b in blocks:
+        ids[code[b]] = 1
+    np.cumsum(ids, out=ids)
+    return ids
+
+
+def _sorted_groups(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexsort order of the rows by their words (one row per
+    column of ``words``, the first word most significant), and the mask of
+    the positions in that order where a new group starts."""
+    order = np.lexsort(words[::-1])  # the last key sorts first
+    ordered = words[:, order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return order, new
 
 
 _TOKEN = {"0": 0, "1": 1}
@@ -250,8 +345,7 @@ def load_dataset(path: str | os.PathLike, name: str | None = None) -> DataSet:
             n_rows += 1
     if n_rows == 0:
         raise DatasetFormatError(f"{path}: empty file")
-    X = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(n_rows, width)
-    return DataSet(X=X, name=name)
+    return DataSet._over(np.frombuffer(buf, dtype=np.uint8).reshape(n_rows, width), name)
 
 
 def _read_canonical(fh: BinaryIO) -> np.ndarray | None:
@@ -278,6 +372,8 @@ def _read_canonical(fh: BinaryIO) -> np.ndarray | None:
     expected[-1] = ord("0") | ord("\n") << 8
     X = np.empty((n, stride // 2), dtype=np.uint8)
     step = max(1, _BLOCK_BYTES // stride)  # lines per block
+    tile_lines = min(_TILE_ROWS, step)  # so that a tile is never longer than a block
+    tile = np.tile(expected, tile_lines)
     buf = np.empty((min(step, n), stride // 2), dtype="<u2")
     fh.seek(0)
     for start in range(0, n, step):
@@ -285,7 +381,12 @@ def _read_canonical(fh: BinaryIO) -> np.ndarray | None:
         got = fh.readinto(block)
         # a short read leaves newlines, which pass only as the last line's own
         block.view(np.uint8).reshape(-1)[got:] = ord("\n")
-        block -= expected
+        # whole tiles of lines at once, so numpy's inner loop runs over a
+        # tile, not over one line; the lines short of a tile line by line
+        tiled = len(block) - len(block) % tile_lines
+        body = block[:tiled].reshape(-1, tile.size)  # a view of the contiguous block
+        body -= tile
+        block[tiled:] -= expected
         if block.max() > 1:
             return None
         X[start:start + step] = block

@@ -6,6 +6,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -433,3 +435,38 @@ class TestAptSelect:
         assert code == 0
         echo = json.loads((out / "config.json").read_text())
         assert echo["apt_clusters"] in (4, 8, 16, 32)
+
+
+class TestRunInvariance:
+    """A run's report and model depend on the data, config and seed alone:
+    not on the BLAS thread count, nor on the order of the training rows."""
+
+    def test_report_and_model_independent_of_blas_threads_and_row_order(self, tmp_path, rng):
+        # a noisy chain of 10 variables: most rows occur several times
+        X = np.zeros((400, 10), dtype=int)
+        X[:, 0] = rng.random(400) < 0.5
+        for j in range(1, 10):
+            X[:, j] = X[:, j - 1] ^ (rng.random(400) < 0.2)
+        valid = write_data_file(tmp_path / "valid.data", X[:100] ^ (rng.random((100, 10)) < 0.1))
+        (tmp_path / "given").mkdir()
+        (tmp_path / "shuffled").mkdir()
+        train = write_data_file(tmp_path / "given" / "chain.data", X)
+        shuffled = write_data_file(tmp_path / "shuffled" / "chain.data", X[rng.permutation(400)])
+
+        def run(name, train, **env):
+            # tests/conftest.py pins BLAS to one thread in this process's
+            # environment; the run takes that, or the threads given here
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "forced_pruning", "--train", train, "--valid", valid,
+                 "--test", valid, "--extra-edges", "4", "--exchange", "2",
+                 "--heuristic", "rejection", "--max-iter", "4", "--seed", "5",
+                 "--out-dir", str(out)],
+                capture_output=True, text=True, env={**os.environ, **env})
+            assert proc.returncode == 0, proc.stderr
+            return (out / "report.csv").read_bytes(), (out / "model.txt").read_bytes()
+
+        base = run("base", train)
+        threads = {v: "2" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        assert run("threads", train, **threads) == base
+        assert run("shuffled", shuffled) == base

@@ -26,7 +26,7 @@ from forced_pruning import (
     mutual_information_matrix,
 )
 from forced_pruning import dataset as dataset_mod
-from forced_pruning.dataset import _read_canonical, group_rows
+from forced_pruning.dataset import _read_canonical, _row_words, _shift_or_words, group_rows
 
 from conftest import make_dataset, mi_from_counts, pair_table, random_dataset, write_data_file
 
@@ -313,6 +313,48 @@ class TestCanonicalFastPathInSmallBlocks(TestCanonicalFastPath):
         assert f"line {row + 1}:" in load_outcome(load_dataset, str(p))
 
 
+class TestCanonicalTiles:
+    """Blocks whose line count is not a multiple of the loader's tile: the
+    lines past the last whole tile are checked against the expected line
+    one by one, and a bad byte there still rejects the file."""
+
+    TILE = dataset_mod._TILE_ROWS
+    LINES = 2 * TILE + 5  # lines per block: two whole tiles and five more
+
+    def block(self, stride):
+        return self.LINES * stride
+
+    @pytest.mark.parametrize("n_vars", [3, 17])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_blocks_of_tiles_and_remainder_lines(self, rng, n_vars, final_newline):
+        # a full block, then a short one with one whole tile and 7 lines more
+        n = self.LINES + self.TILE + 7
+        X = (rng.random((n, n_vars)) < 0.5).astype(int)
+        data = "\n".join(",".join(map(str, row)) for row in X).encode()
+        data += b"\n" if final_newline else b""
+        with mock.patch.object(dataset_mod, "_BLOCK_BYTES", self.block(2 * n_vars)):
+            np.testing.assert_array_equal(parse_canonical(data), X)
+
+    @pytest.mark.parametrize("row", [3, 2 * TILE - 1, 2 * TILE, 2 * TILE + 4,
+                                     LINES + TILE + 2, LINES + TILE + 5])
+    @pytest.mark.parametrize("byte", [ord("2"), ord("/"), ord(";"), 0x0B])
+    def test_bad_byte_in_tile_or_remainder_sends_the_file_to_the_line_parser(
+            self, tmp_path, row, byte):
+        # rows 3 and 127 sit in whole tiles of the first block, rows 128 and
+        # 132 in its remainder lines, rows 199 and 202 in the remainder lines
+        # of the short last block (a bad newline slot on the last line would
+        # leave a file that the line parser accepts)
+        lines = [bytearray(b"0,1,1\n") for _ in range(self.LINES + self.TILE + 7)]
+        lines[row][2 * (row % 3) + (byte in (ord(";"), 0x0B))] = byte
+        data = b"".join(lines)
+        p = tmp_path / "d.data"
+        p.write_bytes(data)
+        with mock.patch.object(dataset_mod, "_BLOCK_BYTES", self.block(6)):
+            assert parse_canonical(data) is None
+            assert load_outcome(load_dataset, str(p)) == load_outcome(load_by_lines, str(p))
+            assert f"line {row + 1}:" in load_outcome(load_dataset, str(p))
+
+
 class TestLoadMemory:
     """A canonical load holds one copy of the instances plus one block, and
     its compression makes no second copy of them."""
@@ -343,9 +385,26 @@ class TestLoadMemory:
         n, v = ds.X.shape
         one_copy_and_a_block = ds.X.nbytes + block + 64 * 1024
         assert load_peak <= one_copy_and_a_block
-        # compression adds its key words and groups (4 bytes per row each) and
-        # its table of all 2**17 codes (4 bytes each), never a copy of X
+        # compression adds its row codes (4 bytes per row), its block
+        # temporaries and its table of all 2**17 codes (4 bytes each), never
+        # a copy of X
         assert peak <= one_copy_and_a_block + 8 * n + 4 * 2**v
+
+    def test_line_parser_peak_is_its_buffer(self, path, tmp_path):
+        # CRLF line ends send the file to the line-by-line parser, whose byte
+        # buffer becomes the dataset's array without a copy
+        crlf = tmp_path / "wide.crlf.data"
+        with open(path, "rb") as src:
+            crlf.write_bytes(src.read().replace(b"\n", b"\r\n"))
+        tracemalloc.start()
+        try:
+            ds = load_dataset(str(crlf))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(ds.X, load_dataset(path).X)
+        assert not ds.X.flags.writeable
+        assert peak < 1.5 * ds.X.nbytes
 
     def test_loaded_instances_are_read_only_and_held_by_the_dataset_alone(self, path):
         read = []
@@ -470,24 +529,75 @@ class TestDataSetValidation:
             np.testing.assert_array_equal(rebuilt, orig)
 
 
-    @pytest.mark.parametrize("block", [64, 256])
-    def test_compressed_in_small_row_blocks(self, rng, block):
-        # blocks of a few rows: the key packing, the code table's marking and
-        # look-up and the counts each span many blocks, for code buckets
-        # (up to 11 columns here) and for the lexsort beyond
-        for n_vars in (2, 7, 11, 12, 33, 65):
-            patterns = rng.random((12, n_vars)) < 0.5
-            ds = DataSet(patterns[rng.integers(0, 12, 300)])
+# widths with no full 8-column read (2-7), no partial one (8, 16, 24) and
+# both, across the 32-bit word of a narrow row and the 64-bit words beyond
+KERNEL_WIDTHS = [*range(2, 10), 15, 16, 17, 24, 25, 31, 32, 33, 63, 64, 65, 69]
+
+
+def kernel_row_counts(n_vars):
+    """Row counts on both sides of 2**n_vars <= 8 * rows, where compression
+    switches from the code table to the lexsort, as far as they are small."""
+    edge = 2 ** max(0, n_vars - 3)  # the fewest rows counted through the table
+    counts = [max(edge, 64)] if edge <= 20_000 else []
+    if edge > 1:
+        counts.append(min(edge - 1, 2000))
+    return counts
+
+
+class TestRowCompression:
+    """The 8-column row packing and the table count against plain references."""
+
+    @pytest.mark.parametrize("n_vars", KERNEL_WIDTHS)
+    def test_row_words_equal_shift_or_words(self, rng, n_vars):
+        X = (rng.random((300, n_vars)) < 0.5).astype(np.uint8)
+        X[:4] = [[0] * n_vars, [1] * n_vars, [1] + [0] * (n_vars - 1), [0] * (n_vars - 1) + [1]]
+        words = _row_words(X)
+        ref = _shift_or_words(X.T, range(n_vars))
+        assert words.dtype == ref.dtype == (np.uint32 if n_vars <= 32 else np.uint64)
+        np.testing.assert_array_equal(words, ref)
+
+    @pytest.mark.parametrize("n_vars", KERNEL_WIDTHS)
+    def test_compressed_in_small_row_blocks(self, rng, n_vars):
+        for n in kernel_row_counts(n_vars):
+            # rows drawn from n // 4 patterns, so that most occur several times
+            patterns = rng.random((max(1, n // 4), n_vars)) < rng.uniform(0.2, 0.8)
+            ds = DataSet(patterns[rng.integers(0, len(patterns), n)])
+            # the row packing and group_rows' key packing take
+            # _BLOCK_BYTES // n_vars rows per block, the code table's marking,
+            # look-up and counting _BLOCK_BYTES // 32: at least 3 blocks each
+            wide = 2**n_vars > 8 * n
+            block = n_vars * max(1, n // 3) if wide else max(32, min(n_vars, 32) * (n // 3))
+            assert -(-n // max(1, block // n_vars)) >= min(n, 3)
+            assert wide or -(-n // (block // 32)) >= 3
             whole = group_rows(ds.X.T.copy(), range(n_vars))
-            with mock.patch.object(dataset_mod, "_BLOCK_BYTES", block):
+            with mock.patch.object(dataset_mod, "_BLOCK_BYTES", block), \
+                    mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
                 rows, weights = ds.compressed()
                 blocked = group_rows(ds.X.T, range(n_vars))
+            assert lexsort.call_count == 2 * wide
             for a, b in zip(blocked, whole):
                 np.testing.assert_array_equal(a, b)
             ref_rows, ref_counts = np.unique(ds.X, axis=0, return_counts=True)
             np.testing.assert_array_equal(rows, ref_rows)
             np.testing.assert_array_equal(weights, ref_counts)
-            np.testing.assert_array_equal(ds._cache["columns"], ref_rows.T)
+            columns = ds._cache["columns"]
+            assert columns.dtype == np.uint8 and columns.flags.c_contiguous
+            np.testing.assert_array_equal(columns, ref_rows.T)
+
+    def test_narrow_rows_need_no_first_rows(self, rng, monkeypatch):
+        # counted through the code table alone, while group_rows finds the
+        # first row of each group by np.minimum.at
+        calls = []
+        first_rows = np.minimum.at
+        monkeypatch.setattr(np.minimum, "at", lambda *a: calls.append(a) or first_rows(*a))
+        ds = DataSet(rng.random((5000, 12)) < 0.3)
+        rows, weights = ds.compressed()
+        assert calls == []
+        ref_rows, ref_counts = np.unique(ds.X, axis=0, return_counts=True)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(weights, ref_counts)
+        group_rows(ds.X.T, range(12))
+        assert calls
 
 
 class TestCounts:
