@@ -438,10 +438,11 @@ class TestAptSelect:
 
 
 class TestRunInvariance:
-    """A run's report and model depend on the data, config and seed alone:
-    not on the BLAS thread count, nor on the order of the training rows."""
+    """A run's report, model and iteration log depend on the data, config
+    and seed alone: not on the BLAS thread count, nor on the order of the
+    training rows."""
 
-    def test_report_and_model_independent_of_blas_threads_and_row_order(self, tmp_path, rng):
+    def test_outputs_independent_of_blas_threads_and_row_order(self, tmp_path, rng):
         # a noisy chain of 10 variables: most rows occur several times
         X = np.zeros((400, 10), dtype=int)
         X[:, 0] = rng.random(400) < 0.5
@@ -464,7 +465,9 @@ class TestRunInvariance:
                  "--out-dir", str(out)],
                 capture_output=True, text=True, env={**os.environ, **env})
             assert proc.returncode == 0, proc.stderr
-            return (out / "report.csv").read_bytes(), (out / "model.txt").read_bytes()
+            with open(out / "iterations.jsonl", encoding="ascii") as f:
+                iterations = [{**json.loads(line), "seconds": None} for line in f]
+            return (out / "report.csv").read_bytes(), (out / "model.txt").read_bytes(), iterations
 
         base = run("base", train)
         threads = {v: "2" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}

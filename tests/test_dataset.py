@@ -557,24 +557,30 @@ class TestRowCompression:
         np.testing.assert_array_equal(words, ref)
 
     @pytest.mark.parametrize("n_vars", KERNEL_WIDTHS)
-    def test_compressed_in_small_row_blocks(self, rng, n_vars):
-        for n in kernel_row_counts(n_vars):
+    @pytest.mark.parametrize("block", [64, 256, "thirds"])
+    def test_compressed_in_small_row_blocks(self, rng, n_vars, block):
+        # blocks of 64 and 256 bytes: a few rows each, and fewer bytes than
+        # one row of 65 or more columns, so that the row packing and
+        # group_rows' key packing take one row per block; "thirds": blocks
+        # that make the row packing and group_rows' key packing
+        # (_BLOCK_BYTES // n_vars rows per block) and the code table's
+        # marking, look-up and counting (_BLOCK_BYTES // 32) span at least 3
+        # blocks each, on both sides of the switch to the lexsort
+        for n in [300] if block != "thirds" else kernel_row_counts(n_vars):
             # rows drawn from n // 4 patterns, so that most occur several times
             patterns = rng.random((max(1, n // 4), n_vars)) < rng.uniform(0.2, 0.8)
             ds = DataSet(patterns[rng.integers(0, len(patterns), n)])
-            # the row packing and group_rows' key packing take
-            # _BLOCK_BYTES // n_vars rows per block, the code table's marking,
-            # look-up and counting _BLOCK_BYTES // 32: at least 3 blocks each
-            wide = 2**n_vars > 8 * n
-            block = n_vars * max(1, n // 3) if wide else max(32, min(n_vars, 32) * (n // 3))
-            assert -(-n // max(1, block // n_vars)) >= min(n, 3)
-            assert wide or -(-n // (block // 32)) >= 3
+            if block == "thirds":
+                wide = 2**n_vars > 8 * n
+                size = n_vars * max(1, n // 3) if wide else max(32, min(n_vars, 32) * (n // 3))
+                assert -(-n // max(1, size // n_vars)) >= min(n, 3)
+                assert wide or -(-n // (size // 32)) >= 3
+            else:
+                size = block
             whole = group_rows(ds.X.T.copy(), range(n_vars))
-            with mock.patch.object(dataset_mod, "_BLOCK_BYTES", block), \
-                    mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            with mock.patch.object(dataset_mod, "_BLOCK_BYTES", size):
                 rows, weights = ds.compressed()
                 blocked = group_rows(ds.X.T, range(n_vars))
-            assert lexsort.call_count == 2 * wide
             for a, b in zip(blocked, whole):
                 np.testing.assert_array_equal(a, b)
             ref_rows, ref_counts = np.unique(ds.X, axis=0, return_counts=True)
@@ -583,21 +589,6 @@ class TestRowCompression:
             columns = ds._cache["columns"]
             assert columns.dtype == np.uint8 and columns.flags.c_contiguous
             np.testing.assert_array_equal(columns, ref_rows.T)
-
-    def test_narrow_rows_need_no_first_rows(self, rng, monkeypatch):
-        # counted through the code table alone, while group_rows finds the
-        # first row of each group by np.minimum.at
-        calls = []
-        first_rows = np.minimum.at
-        monkeypatch.setattr(np.minimum, "at", lambda *a: calls.append(a) or first_rows(*a))
-        ds = DataSet(rng.random((5000, 12)) < 0.3)
-        rows, weights = ds.compressed()
-        assert calls == []
-        ref_rows, ref_counts = np.unique(ds.X, axis=0, return_counts=True)
-        np.testing.assert_array_equal(rows, ref_rows)
-        np.testing.assert_array_equal(weights, ref_counts)
-        group_rows(ds.X.T, range(12))
-        assert calls
 
 
 class TestCounts:
