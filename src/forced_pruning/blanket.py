@@ -15,26 +15,28 @@ fewer: the plants Chow-Liu tree has about 500 groups in all against about
 
 Groups are keyed by the variable and its blanket, and grouped by
 :func:`dataset.group_rows`, the routine that also deduplicates the rows of
-a dataset, on the column-major uint8 copy of the compressed rows that the
-dataset keeps from its compression: without a sort for a key of at most
-log2(8 * unique rows) columns, by a stable lexsort beyond. So grouping is
-exact at any blanket size, and the group order is the lexicographic row
-order.
+a dataset, on a column-major uint8 copy of the compressed rows: without a
+sort for a key of at most log2(8 * unique rows) columns, by a stable
+lexsort beyond. So grouping is exact at any blanket size, and the group
+order is the lexicographic row order. The group values and the edge
+incidences are read from the same copy, made once per dataset from its
+float64 rows and kept in its cache (:meth:`DataSet.cached`).
 
 A variable's groups depend only on (dataset, variable, blanket), and an
 exchange of k edges changes at most 2k blankets. Tables built while the last
 tables of the same dataset are still held (the weak slot of
 :func:`tables_for`) take each unchanged variable's first rows, counts,
 row-to-group map and, if computed there, ``ones`` rows from them, and
-regroup only the other variables. The nonzero pairs of the rows, once
-``ones`` was needed, carry over too. They keep those arrays, never the
+regroup only the other variables. They keep those arrays, never the
 older tables, so no chain of tables stays alive.
 
 ``ones`` is one weighted ``np.bincount`` per regrouped variable over the
 nonzero (row, u) pairs of the compressed rows, each binned at (group of the
-row, u). Its sums are exact integers, and every other reduction here is a
-sequential ``np.bincount`` over a fixed order, so results do not depend on
-BLAS threading.
+row, u). The pairs depend on the dataset alone: they are found in row-major
+order when ``ones`` is first needed, and kept in the dataset's cache under
+``"nonzero"``. The sums of ``ones`` are exact integers, and every other
+reduction here is a sequential ``np.bincount`` over a fixed order, so
+results do not depend on BLAS threading.
 """
 
 from __future__ import annotations
@@ -59,6 +61,19 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return offsets + np.arange(lengths.sum())
 
 
+def _columns(ds: DataSet) -> np.ndarray:
+    """The unique rows of ``ds`` as a column-major uint8 copy."""
+    return np.ascontiguousarray(ds.compressed()[0].T, dtype=np.uint8)
+
+
+def _nonzero(ds: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, u) pairs of the unique rows with x_u = 1 in row-major
+    order, and the weight of each pair's row."""
+    # np.nonzero's arrays are strided views: ``ones`` indexes copies twice as fast
+    r, u = map(np.ascontiguousarray, np.nonzero(ds.cached("columns", _columns).T))
+    return r, u, ds.compressed()[1][r]
+
+
 class BlanketTables:
     """Group tables of one dataset under one edge set.
 
@@ -74,8 +89,8 @@ class BlanketTables:
     """
 
     def __init__(self, ds: DataSet, edges: Sequence[tuple[int, int]]):
-        rows, weights = ds.compressed()
-        columns = ds._cache["columns"]  # kept by the compression
+        columns = ds.cached("columns", _columns)
+        weights = ds.compressed()[1]
         V = ds.n_vars
         self.n_vars = V
         self.n_instances = ds.n_instances
@@ -87,12 +102,9 @@ class BlanketTables:
             neighbours[hi].append(lo)
         self._keys = [(v, *sorted(nb)) for v, nb in enumerate(neighbours)]
         # the last tables of ds, while a caller holds them: their blocks of
-        # every unchanged blanket, and their nonzero pairs, carry over (see
-        # the module docstring)
+        # every unchanged blanket carry over (see the module docstring)
         prev = ds._cache.get("tables", lambda: None)()
-        self._nonzero = prev_ones = None
-        if prev is not None:
-            self._nonzero, prev_ones = prev._nonzero, prev.__dict__.get("ones")
+        prev_ones = None if prev is None else prev.__dict__.get("ones")
         reps, counts, self._inverse, self._carried_ones = [], [], [], {}
         for v, key in enumerate(self._keys):
             if prev is not None and prev._keys[v] == key:
@@ -111,8 +123,7 @@ class BlanketTables:
         self.var = np.repeat(np.arange(V), sizes)
         self.rep = np.concatenate(reps)
         self.count = np.concatenate(counts)
-        rep_rows = rows[self.rep]
-        self.x = rep_rows[np.arange(self.n_groups), self.var]
+        self.x = columns[self.var, self.rep]
         self.t = 2.0 * self.x - 1.0
 
         # both sides of every edge in turn: the groups of one endpoint in
@@ -121,7 +132,7 @@ class BlanketTables:
         side, other = ends.ravel(), ends[:, ::-1].ravel()
         lengths = self.start[side + 1] - self.start[side]
         g = _ranges(self.start[side], lengths)
-        touched = rep_rows[g, np.repeat(other, lengths)] > 0
+        touched = columns[np.repeat(other, lengths), self.rep[g]] > 0
         self.inc_group = g[touched]
         self.inc_edge = np.repeat(np.arange(side.size) // 2, lengths)[touched]
         self.inc_ptr = np.searchsorted(self.inc_edge, np.arange(len(self.edges) + 1))
@@ -136,12 +147,7 @@ class BlanketTables:
         V = self.n_vars
         out = np.empty((self.n_groups, V))
         carried, self._carried_ones = self._carried_ones, {}
-        if self._nonzero is None:
-            # the (row, u) pairs with x_u = 1 in row-major order, and the row's weight
-            rows, weights = self._ds.compressed()
-            r, u = np.divmod(np.flatnonzero(rows != 0), V)
-            self._nonzero = r, u, weights[r]
-        r, u, w = self._nonzero
+        r, u, w = self._ds.cached("nonzero", _nonzero)
         for v, inv in enumerate(self._inverse):
             lo, hi = self.start[v], self.start[v + 1]
             if v in carried:

@@ -16,6 +16,10 @@ narrow enough, counted through a table of all row codes without a sort or
 a row-to-group map. So a load and its compression hold about one copy of
 the instances plus one block, and a process forked after them inherits no
 other copy.
+
+A :class:`DataSet` knows only its instances, unique rows and weights; the
+module that derives more from them (the Chow-Liu tree, the blanket tables'
+arrays) builds it once and keeps it through :meth:`DataSet.cached`.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class DataSet:
 
     X: np.ndarray
     name: str = "dataset"
-    # derived from X alone, never observable: compression, Chow-Liu tree, weakref to tables
+    # derived from X alone, never observable: compression, Chow-Liu tree, tables' arrays and slot
     _cache: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,10 +83,8 @@ class DataSet:
     def __setstate__(self, state):
         # unpickled arrays come back writable; keep the cache, restore the flags
         self.__dict__.update(state)
-        compressed = self._cache.get("compressed", ())
-        columns = (self._cache["columns"],) if compressed else ()  # cached together
-        for a in (self.X, *compressed, *columns):
-            a.setflags(write=False)
+        for value in (self.X, *self._cache.values()):
+            _read_only(value)
 
     @property
     def n_vars(self) -> int:
@@ -93,28 +95,30 @@ class DataSet:
         return self.X.shape[0]
 
     def cached(self, key: str, compute):
-        """``compute(self)``, computed on the first call for ``key`` and kept."""
+        """``compute(self)``, computed on the first call for ``key`` and kept,
+        its arrays read-only."""
         if key not in self._cache:
-            self._cache[key] = compute(self)
+            self._cache[key] = _read_only(compute(self))
         return self._cache[key]
 
     def compressed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique rows and their multiplicities.
+        """Unique rows and their multiplicities, as read-only float64 arrays.
 
         Sums weighted by the multiplicities equal plain sums over instances
         exactly, so per-instance means computed on the compressed form are
         identical up to float summation order. Rows come out in lexicographic
         order, which also makes such means independent of instance order.
-        Rows of at most log2(8 * instances) columns are counted through a
-        table of all row codes, wider ones grouped by a sort (see
-        :func:`_compress`). The same pass caches the unique rows'
-        column-major uint8 copy, which the blanket tables group, under the
-        key ``"columns"``.
+        :func:`_compress` says how they are counted.
         """
-        if "compressed" not in self._cache:
-            rows, weights, self._cache["columns"] = _compress(self)
-            self._cache["compressed"] = rows, weights
-        return self._cache["compressed"]
+        return self.cached("compressed", _compress)
+
+
+def _read_only(value):
+    """``value`` with its arrays, alone or in a tuple, marked read-only."""
+    for a in value if isinstance(value, tuple) else (value,):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return value
 
 
 def _checked(X) -> np.ndarray:
@@ -135,9 +139,8 @@ def _checked(X) -> np.ndarray:
     return X
 
 
-def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unique rows as float64, their multiplicities, and the unique rows'
-    column-major uint8 copy.
+def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray]:
+    """The unique rows and their multiplicities, as float64 arrays.
 
     Rows of at most log2(8 * rows) columns are one code each: the codes that
     occur are marked and numbered in the table of all codes, counted by a
@@ -160,13 +163,10 @@ def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         unique = ((present[:, None] >> np.arange(v - 1, -1, -1)) & 1).astype(np.uint8)
     else:
         order, new = _sorted_groups(words)
-        starts = np.flatnonzero(new)
+        starts = np.arange(n)[new]
         counts = np.diff(starts, append=n)
         unique = X[order[starts]]
-    out = unique.astype(np.float64), counts.astype(np.float64), np.ascontiguousarray(unique.T)
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return unique.astype(np.float64), counts.astype(np.float64)
 
 
 def _row_words(X: np.ndarray) -> np.ndarray:
@@ -247,16 +247,10 @@ def group_rows(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.
     words = _shift_or_words(columns, key)
     if 2 ** len(key) <= 8 * n:
         code = words[0]
-        # marked, numbered and looked up a block of rows at a time: about 32
-        # bytes of index temporaries per row, never as many rows as there are
-        step = _BLOCK_BYTES // 32
-        blocks = [slice(start, start + step) for start in range(0, n, step)]
-        ids = _code_table(code, len(key), blocks)
-        inv = np.empty(n, dtype=np.int32)
+        ids = _code_table(code, len(key), [slice(None)])
+        inv = ids[code] - 1
         first = np.full(ids[-1], n, dtype=np.intp)
-        for b in blocks:
-            inv[b] = ids[code[b]] - 1
-            np.minimum.at(first, inv[b], np.arange(b.start, min(b.stop, n)))
+        np.minimum.at(first, inv, np.arange(n))
         return first, inv
     order, new = _sorted_groups(words)
     inv = np.empty(n, dtype=np.int32)

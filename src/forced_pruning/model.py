@@ -104,9 +104,8 @@ class PairwiseModel:
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric (n_vars, n_vars) edge-weight matrix, zero diagonal."""
         W = np.zeros((self.n_vars, self.n_vars))
-        for (lo, hi), w in zip(self.edges, self.edge_weights):
-            W[lo, hi] = w
-            W[hi, lo] = w
+        lo, hi = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        W[lo, hi] = W[hi, lo] = self.edge_weights
         return W
 
 

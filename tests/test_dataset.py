@@ -26,6 +26,7 @@ from forced_pruning import (
     mutual_information_matrix,
 )
 from forced_pruning import dataset as dataset_mod
+from forced_pruning.blanket import BlanketTables
 from forced_pruning.dataset import _read_canonical, _row_words, _shift_or_words, group_rows
 
 from conftest import make_dataset, mi_from_counts, pair_table, random_dataset, write_data_file
@@ -33,12 +34,11 @@ from conftest import make_dataset, mi_from_counts, pair_table, random_dataset, w
 
 def _state_in_worker(ds):
     """What a pool worker sees of a DataSet it was sent: the cached keys, the
-    writable flags of X, of the compressed arrays and of the unique rows'
-    columns, and the tree."""
+    writable flags of X, of the compressed arrays, of the blanket tables'
+    columns and of their nonzero pairs, those arrays, and the tree."""
     cached = sorted(ds._cache)
-    rows, weights = ds.compressed()
-    flags = [a.flags.writeable for a in (ds.X, rows, weights, ds._cache["columns"])]
-    return cached, flags, chow_liu_tree(ds)
+    arrays = (ds.X, *ds.compressed(), ds._cache["columns"], *ds._cache["nonzero"])
+    return cached, [a.flags.writeable for a in arrays], arrays, chow_liu_tree(ds)
 
 
 class TestLoadDataset:
@@ -486,12 +486,16 @@ class TestDataSetValidation:
     def test_spawned_pool_worker_gets_read_only_arrays_and_the_cache(self, rng):
         # under spawn the pool's arguments reach the worker by pickling
         ds = random_dataset(rng, 5, 40)
-        ds.compressed()
         tree = chow_liu_tree(ds)
+        BlanketTables(ds, tree).ones  # caches the columns and the nonzero pairs
         with concurrent.futures.ProcessPoolExecutor(
                 1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            state = pool.submit(_state_in_worker, ds).result()
-        assert state == (["chow_liu_tree", "columns", "compressed"], [False] * 4, tree)
+            cached, flags, arrays, got_tree = pool.submit(_state_in_worker, ds).result()
+        assert cached == ["chow_liu_tree", "columns", "compressed", "nonzero"]
+        assert flags == [False] * 7 and got_tree == tree
+        here = (ds.X, *ds.compressed(), ds._cache["columns"], *ds._cache["nonzero"])
+        for a, b in zip(arrays, here, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_compressed_preserves_weighted_counts(self, toy_dataset):
         rows, weights = toy_dataset.compressed()
@@ -563,8 +567,8 @@ class TestRowCompression:
         # one row of 65 or more columns, so that the row packing and
         # group_rows' key packing take one row per block; "thirds": blocks
         # that make the row packing and group_rows' key packing
-        # (_BLOCK_BYTES // n_vars rows per block) and the code table's
-        # marking, look-up and counting (_BLOCK_BYTES // 32) span at least 3
+        # (_BLOCK_BYTES // n_vars rows per block) and compression's code
+        # table marking and counting (_BLOCK_BYTES // 32) span at least 3
         # blocks each, on both sides of the switch to the lexsort
         for n in [300] if block != "thirds" else kernel_row_counts(n_vars):
             # rows drawn from n // 4 patterns, so that most occur several times
@@ -586,8 +590,10 @@ class TestRowCompression:
             ref_rows, ref_counts = np.unique(ds.X, axis=0, return_counts=True)
             np.testing.assert_array_equal(rows, ref_rows)
             np.testing.assert_array_equal(weights, ref_counts)
-            columns = ds._cache["columns"]
+            BlanketTables(ds, ())
+            columns = ds._cache["columns"]  # the tables' copy of the rows
             assert columns.dtype == np.uint8 and columns.flags.c_contiguous
+            assert not columns.flags.writeable
             np.testing.assert_array_equal(columns, ref_rows.T)
 
 

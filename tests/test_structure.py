@@ -513,13 +513,38 @@ class TestSharedTables:
         cfg = PruningConfig(extra_edges=2, exchange_size=2, max_iter=3)
         result = forced_pruning(ds, cfg)
         clone = pickle.loads(pickle.dumps(ds))
-        assert sorted(clone._cache) == ["chow_liu_tree", "columns", "compressed"]
-        assert not clone._cache["columns"].flags.writeable
+        assert sorted(clone._cache) == ["chow_liu_tree", "columns", "compressed", "nonzero"]
+        got, kept = [(c["columns"], *c["compressed"], *c["nonzero"])
+                     for c in (clone._cache, ds._cache)]
+        for a, b in zip(got, kept, strict=True):
+            assert not a.flags.writeable
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         held = tables_for(result.model, ds)  # a live slot is left out too
         assert "tables" in ds._cache and "tables" not in pickle.loads(pickle.dumps(ds))._cache
         again = forced_pruning(clone, cfg)
         assert again.model.weight_vector().tobytes() == result.model.weight_vector().tobytes()
         assert held.edges == result.model.edges
+
+    def test_runs_share_the_datasets_columns_and_nonzero_pairs(self, rng):
+        # both are built once per dataset by the first table build, whatever
+        # the runs on it, and neither goes with the tables
+        ds = random_dataset(rng, 6, 80)
+        cfg = PruningConfig(extra_edges=2, exchange_size=2, max_iter=3)
+        forced_pruning(ds, cfg)
+        columns, nonzero = ds._cache["columns"], ds._cache["nonzero"]
+        forced_pruning(ds, cfg)
+        assert ds._cache["columns"] is columns and ds._cache["nonzero"] is nonzero
+        rows, weights = ds.compressed()
+        np.testing.assert_array_equal(columns, rows.T)
+        r, u, w = nonzero
+        assert (np.diff(r) >= 0).all()  # row-major: the rows never decrease
+        assert (rows[r, u] == 1).all() and r.size == rows.sum()
+        np.testing.assert_array_equal(w, weights[r])
+        clone = pickle.loads(pickle.dumps(ds))
+        for d in (ds, clone):
+            assert not d._cache["columns"].flags.writeable
+            assert not any(a.flags.writeable for a in d._cache["nonzero"])
+        np.testing.assert_array_equal(clone._cache["columns"], columns)
 
 
 @pytest.fixture
