@@ -20,7 +20,7 @@ sort for a key of at most log2(8 * unique rows) columns, by a stable
 lexsort beyond. So grouping is exact at any blanket size, and the group
 order is the lexicographic row order. The group values and the edge
 incidences are read from the same copy, made once per dataset from its
-float64 rows and kept in its cache (:meth:`DataSet.cached`).
+uint8 rows and kept in its cache (:meth:`DataSet.cached`).
 
 A variable's groups depend only on (dataset, variable, blanket), and an
 exchange of k edges changes at most 2k blankets. Tables built while the last
@@ -62,15 +62,15 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _columns(ds: DataSet) -> np.ndarray:
-    """The unique rows of ``ds`` as a column-major uint8 copy."""
-    return np.ascontiguousarray(ds.compressed()[0].T, dtype=np.uint8)
+    """The unique rows of ``ds`` as a column-major copy."""
+    return np.ascontiguousarray(ds.compressed()[0].T)
 
 
 def _nonzero(ds: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (row, u) pairs of the unique rows with x_u = 1 in row-major
     order, and the weight of each pair's row."""
     # np.nonzero's arrays are strided views: ``ones`` indexes copies twice as fast
-    r, u = map(np.ascontiguousarray, np.nonzero(ds.cached("columns", _columns).T))
+    r, u = map(np.ascontiguousarray, np.nonzero(ds.compressed()[0]))
     return r, u, ds.compressed()[1][r]
 
 

@@ -102,13 +102,13 @@ class DataSet:
         return self._cache[key]
 
     def compressed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique rows and their multiplicities, as read-only float64 arrays.
+        """Read-only unique rows, C-contiguous uint8 like ``X``, and float64 weights.
 
-        Sums weighted by the multiplicities equal plain sums over instances
-        exactly, so per-instance means computed on the compressed form are
-        identical up to float summation order. Rows come out in lexicographic
-        order, which also makes such means independent of instance order.
-        :func:`_compress` says how they are counted.
+        The weights are the multiplicities: weighted sums equal plain sums over
+        instances exactly, and the rows' lexicographic order keeps means on the
+        compressed form independent of instance order. uint8 arithmetic wraps
+        (``2 * rows - 1`` is 255 at a 0): compute through a float operand, as
+        ``2.0 * rows - 1.0`` and ``weights @ rows`` do. See :func:`_compress`.
         """
         return self.cached("compressed", _compress)
 
@@ -140,7 +140,7 @@ def _checked(X) -> np.ndarray:
 
 
 def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray]:
-    """The unique rows and their multiplicities, as float64 arrays.
+    """The unique rows, C-contiguous uint8 like ``X``, and their float64 counts.
 
     Rows of at most log2(8 * rows) columns are one code each: the codes that
     occur are marked and numbered in the table of all codes, counted by a
@@ -166,7 +166,7 @@ def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray]:
         starts = np.arange(n)[new]
         counts = np.diff(starts, append=n)
         unique = X[order[starts]]
-    return unique.astype(np.float64), counts.astype(np.float64)
+    return unique, counts.astype(np.float64)
 
 
 def _row_words(X: np.ndarray) -> np.ndarray:

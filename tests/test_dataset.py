@@ -390,6 +390,30 @@ class TestLoadMemory:
         # a copy of X
         assert peak <= one_copy_and_a_block + 8 * n + 4 * 2**v
 
+    def test_wide_rows_keep_one_byte_per_unique_value(self, rng):
+        # plants-like: 17,412 rows of 69 columns drawn from half as many
+        # patterns, so that about 43% of the rows are distinct and are
+        # grouped by the lexsort of their words
+        n, v = 17_412, 69
+        patterns = rng.random((n // 2, v)) < 0.3
+        ds = DataSet(patterns[rng.integers(0, n // 2, n)])
+        tracemalloc.start()  # above the instances, which are already held
+        try:
+            rows, weights = ds.compressed()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        u = rows.shape[0]
+        assert 0.35 * n < u < 0.6 * n
+        # what compression keeps: one byte per unique value (u * 69, about
+        # 0.52 MB here) plus the float64 weights (8 u); float64 rows would
+        # keep eight bytes per value, 4.2 MB
+        assert kept <= u * v + 8 * u + 64 * 1024
+        # its peak: that, plus what lives until it returns: the rows' lexsort
+        # words (two uint64 per row, 16 n), their int64 order (8 n), the
+        # new-group mask (n), and the int64 group starts and counts (16 u)
+        assert peak <= u * v + 8 * u + 16 * n + 8 * n + n + 16 * u + 64 * 1024
+
     def test_line_parser_peak_is_its_buffer(self, path, tmp_path):
         # CRLF line ends send the file to the line-by-line parser, whose byte
         # buffer becomes the dataset's array without a copy
@@ -526,7 +550,8 @@ class TestDataSetValidation:
             ref_rows, ref_counts = np.unique(ds.X, axis=0, return_counts=True)
             np.testing.assert_array_equal(rows, ref_rows)
             np.testing.assert_array_equal(weights, ref_counts)
-            assert rows.dtype == weights.dtype == np.float64
+            assert rows.dtype == ref_rows.dtype == np.uint8 and weights.dtype == np.float64
+            assert rows.flags.c_contiguous
             assert not rows.flags.writeable and not weights.flags.writeable
             rebuilt = np.repeat(rows, weights.astype(int), axis=0)
             orig = ds.X[np.lexsort(ds.X.T[::-1])]
