@@ -96,6 +96,7 @@ def load_model(path: str) -> tuple[PairwiseModel, TyingPartition | None]:
     header = r.next("header")
     if header != MODEL_FORMAT_HEADER:
         r.fail(f"unsupported format header {header!r}, expected {MODEL_FORMAT_HEADER!r}")
+    partition = None
     try:
         # each line is checked as it is read, so an error names its line
         n_vars = int(r.fields("variable count", "n_vars", 1)[0])
@@ -121,14 +122,7 @@ def load_model(path: str) -> tuple[PairwiseModel, TyingPartition | None]:
                 r.fail(f"edge weight {w} is not finite")
             edges[e] = w
         model = PairwiseModel(n_vars, node_weights, tuple(edges), list(edges.values()))
-    except ModelFormatError:
-        raise
-    except ValueError as exc:
-        r.fail(str(exc))
-
-    partition = None
-    if r.pos < len(r.lines) and r.lines[r.pos].strip():
-        try:
+        if r.pos < len(r.lines) and r.lines[r.pos].strip():
             n_clusters = int(r.fields("tying header", "tying", 1)[0])
             assignment = np.array([int(v) for v in r.fields("cluster assignment", "assignment")])
             if assignment.size != model.n_params:
@@ -137,10 +131,10 @@ def load_model(path: str) -> tuple[PairwiseModel, TyingPartition | None]:
                 r.fail("cluster ids must lie in [0, n_clusters)")
             means = np.array([float(v) for v in r.fields("cluster means", "means")])
             partition = TyingPartition(assignment, means, n_clusters)
-        except ModelFormatError:
-            raise
-        except ValueError as exc:
-            r.fail(str(exc))
+    except ModelFormatError:
+        raise
+    except ValueError as exc:
+        r.fail(str(exc))
     while r.pos < len(r.lines):
         if r.next("end of file").strip():
             r.fail(f"unexpected line {r.lines[r.pos - 1]!r} after the model")
@@ -157,7 +151,6 @@ class CellResult:
     seed: int
     neg_pll: dict[str, float]
     seconds: float
-    best_iteration: int = 0
     error: str | None = None
 
     @property
@@ -174,27 +167,24 @@ class ExperimentReport:
     splits: tuple[str, ...] = ("train",)
     cells: list[CellResult] = field(default_factory=list)
 
-    def csv_text(self) -> str:
-        """Deterministic report CSV: one row per cell and split."""
+    def _csv(self, columns: list[str], rows) -> str:
+        """CSV text with the columns dataset, heuristic, m, k and ``columns``:
+        for each cell c in (heuristic, m, k) order, one line per tail in ``rows(c)``."""
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["dataset", "heuristic", "m", "k", "split", "neg_pll"])
+        w.writerow(["dataset", "heuristic", "m", "k", *columns])
         for c in sorted(self.cells, key=lambda c: (c.heuristic, c.m, c.k)):
-            for split in self.splits:
-                value = "nan" if c.failed else f"{c.neg_pll[split]:.12g}"
-                w.writerow([self.dataset, c.heuristic, c.m, c.k, split, value])
+            w.writerows([self.dataset, c.heuristic, c.m, c.k, *tail] for tail in rows(c))
         return buf.getvalue()
 
+    def csv_text(self) -> str:
+        """Deterministic report CSV: one row per cell and split."""
+        return self._csv(["split", "neg_pll"], lambda c: (
+            (s, "nan" if c.failed else f"{c.neg_pll[s]:.12g}") for s in self.splits))
+
     def timings_csv_text(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["dataset", "heuristic", "m", "k", "seed", "seconds", "status"])
-        for c in sorted(self.cells, key=lambda c: (c.heuristic, c.m, c.k)):
-            w.writerow([
-                self.dataset, c.heuristic, c.m, c.k, c.seed,
-                f"{c.seconds:.3f}", c.error or "ok",
-            ])
-        return buf.getvalue()
+        return self._csv(["seed", "seconds", "status"],
+                         lambda c: [(c.seed, f"{c.seconds:.3f}", c.error or "ok")])
 
     def table_text(self, split: str) -> str:
         """Aligned table: rows per heuristic, columns grouped by m, split by k."""
@@ -277,21 +267,11 @@ def _write_iteration_log(path: str, result: PruningResult) -> None:
 
 
 def _config_echo(args, name: str) -> dict:
-    return {
-        "dataset": name,
-        "train": args.train,
-        "valid": args.valid,
-        "test": args.test,
-        "heuristic": args.heuristic,
-        "extra_edges": args.extra_edges,
-        "exchange": args.exchange,
-        "apt_clusters": args.apt_clusters,
-        "l2": args.l2,
-        "max_iter": args.max_iter,
-        "seed": args.seed,
-        "rejection_cap": args.rejection_cap,
-        "sweep": args.sweep,
-    }
+    """The parsed settings and the dataset name, less ``--name`` (echoed as the
+    dataset name), ``--apt-select`` (a run echoes the count it selects as
+    ``apt_clusters``), and ``--out-dir`` and ``--jobs``, which change no result."""
+    skip = ("name", "apt_select", "out_dir", "jobs")
+    return {**{k: v for k, v in vars(args).items() if k not in skip}, "dataset": name}
 
 
 def _select_apt_clusters(splits: dict[str, DataSet], config: PruningConfig) -> tuple[int, PruningResult]:
@@ -322,10 +302,8 @@ def run_single(args) -> int:
     cell = CellResult(
         heuristic=args.heuristic, m=args.extra_edges, k=args.exchange, seed=args.seed,
         neg_pll=_eval_splits(result.model, splits), seconds=seconds,
-        best_iteration=result.best_iteration,
     )
-    echo = _config_echo(args, name)
-    echo["apt_clusters"] = clusters
+    echo = {**_config_echo(args, name), "apt_clusters": clusters}
     report = ExperimentReport(dataset=name, config=echo, splits=tuple(splits), cells=[cell])
 
     _write_report(args.out_dir, report)
@@ -356,9 +334,7 @@ def _write_report(out_dir: str, report: ExperimentReport) -> str:
 
 def parse_sweep(spec: str) -> tuple[list[int], list[int], list[str] | None]:
     """Parse a grid spec like ``m=0,15,30;k=0,5,10`` (optionally ``;h=...``)."""
-    ms: list[int] | None = None
-    ks: list[int] | None = None
-    hs: list[str] | None = None
+    grid: dict[str, list] = {}
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -367,7 +343,7 @@ def parse_sweep(spec: str) -> tuple[list[int], list[int], list[str] | None]:
         key = key.strip()
         if not eq or key not in ("m", "k", "h"):
             raise ValueError(f"bad sweep component {part!r}, expected m=..., k=... or h=...")
-        if {"m": ms, "k": ks, "h": hs}[key] is not None:
+        if key in grid:
             raise ValueError(f"sweep component {key}= given more than once")
         items = [v.strip() for v in values.split(",") if v.strip()]
         if not items:
@@ -376,21 +352,17 @@ def parse_sweep(spec: str) -> tuple[list[int], list[int], list[str] | None]:
             for h in items:
                 if h not in HEURISTICS:
                     raise ValueError(f"unknown heuristic {h!r} in sweep")
-            hs = list(dict.fromkeys(items))
         else:
             try:
-                parsed = [int(v) for v in items]
+                items = [int(v) for v in items]
             except ValueError:
                 raise ValueError(f"non-integer value in sweep component {part!r}") from None
-            if any(v < 0 for v in parsed):
+            if any(v < 0 for v in items):
                 raise ValueError(f"negative value in sweep component {part!r}")
-            if key == "m":
-                ms = list(dict.fromkeys(parsed))
-            else:
-                ks = list(dict.fromkeys(parsed))
-    if ms is None or ks is None:
+        grid[key] = list(dict.fromkeys(items))
+    if "m" not in grid or "k" not in grid:
         raise ValueError("sweep spec must define both m=... and k=...")
-    return ms, ks, hs
+    return grid["m"], grid["k"], grid.get("h")
 
 
 def cell_seed(base_seed: int, heuristic: str, m: int, k: int) -> int:
@@ -400,11 +372,11 @@ def cell_seed(base_seed: int, heuristic: str, m: int, k: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_cell_on(splits: dict[str, DataSet], config: PruningConfig) -> tuple[dict[str, float], float, int]:
+def _run_cell_on(splits: dict[str, DataSet], config: PruningConfig) -> tuple[dict[str, float], float]:
     t0 = time.perf_counter()
-    result = forced_pruning(splits["train"], config)
+    model = forced_pruning(splits["train"], config).model
     seconds = time.perf_counter() - t0
-    return _eval_splits(result.model, splits), seconds, result.best_iteration
+    return _eval_splits(model, splits), seconds
 
 
 # The splits a pool worker runs its cells on, set once by _init_pool_worker.
@@ -416,7 +388,7 @@ def _init_pool_worker(splits: dict[str, DataSet]) -> None:
     _pool_splits = splits
 
 
-def _run_pool_cell(config: PruningConfig) -> tuple[dict[str, float], float, int]:
+def _run_pool_cell(config: PruningConfig) -> tuple[dict[str, float], float]:
     return _run_cell_on(_pool_splits, config)
 
 
@@ -441,8 +413,8 @@ def run_sweep(args) -> int:
             logger.error("cell %s m=%d k=%d failed: %s", h, m, k, error)
             report.cells.append(CellResult(h, m, k, seed, {}, 0.0, error=str(error)))
             return
-        neg_pll, seconds, best_it = outcome
-        report.cells.append(CellResult(h, m, k, seed, neg_pll, seconds, best_it))
+        neg_pll, seconds = outcome
+        report.cells.append(CellResult(h, m, k, seed, neg_pll, seconds))
         logger.info("cell %s m=%d k=%d done in %.1fs", h, m, k, seconds)
 
     if args.jobs > 1:

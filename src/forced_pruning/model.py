@@ -158,7 +158,8 @@ def pll_gradient(model: PairwiseModel, ds: DataSet) -> np.ndarray:
     resid = weights[:, None] * (rows - _sigmoid(A))
     g_node = resid.sum(axis=0) / N
     G = rows.T @ resid
-    g_edge = np.array([(G[lo, hi] + G[hi, lo]) / N for lo, hi in model.edges])
+    lo, hi = np.array(model.edges, dtype=np.intp).reshape(-1, 2).T
+    g_edge = (G[lo, hi] + G[hi, lo]) / N
     return np.concatenate([g_node, g_edge])
 
 

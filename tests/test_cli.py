@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -168,12 +169,21 @@ class TestParseSweep:
     def test_deduplicates(self):
         assert parse_sweep("m=1,1,2;k=0,0")[0] == [1, 2]
 
-    @pytest.mark.parametrize("bad", [
-        "m=0", "k=0", "m=0;k=a", "m=-1;k=0", "q=1;m=0;k=0", "m=;k=0",
-        "m=0;k=0;h=quantum", "m=0;k=0;m=5", "m=0;k=0;h=greedy;h=rejection",
-    ])
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
+    MALFORMED = [
+        ("m=0", "sweep spec must define both m=... and k=..."),
+        ("k=0", "sweep spec must define both m=... and k=..."),
+        ("m=0;k=a", "non-integer value in sweep component 'k=a'"),
+        ("m=-1;k=0", "negative value in sweep component 'm=-1'"),
+        ("q=1;m=0;k=0", "bad sweep component 'q=1', expected m=..., k=... or h=..."),
+        ("m=;k=0", "empty value list in sweep component 'm='"),
+        ("m=0;k=0;h=quantum", "unknown heuristic 'quantum' in sweep"),
+        ("m=0;k=0;m=5", "sweep component m= given more than once"),
+        ("m=0;k=0;h=greedy;h=rejection", "sweep component h= given more than once"),
+    ]
+
+    @pytest.mark.parametrize("bad, message", MALFORMED, ids=[bad for bad, _ in MALFORMED])
+    def test_rejects_malformed(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_sweep(bad)
 
 
@@ -182,6 +192,85 @@ def test_parser_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["--train", "x"])
     config = _cell_config(args, args.extra_edges, args.exchange, args.heuristic, args.seed)
     assert config == PruningConfig(fit=FitOptions())
+
+
+def _readme_flag_table() -> dict[str, str]:
+    """Each flag of the README's command-line table, with its default cell."""
+    table = {}
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("| `--"):
+                flags, default, _ = (c.strip() for c in line.strip().strip("|").split("|", 2))
+                for flag in re.findall(r"`(--[\w-]+)", flags):
+                    table[flag] = default
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    actions = {s: a for a in build_parser()._actions for s in a.option_strings
+               if s.startswith("--") and s != "--help"}
+    table = _readme_flag_table()
+    assert sorted(table) == sorted(actions)
+    for flag, shown in table.items():
+        literal = re.fullmatch(r"`?([\w.-]+)`?", shown)
+        if literal is None:  # a prose default, such as "from `--train`"
+            continue
+        shown = literal.group(1)
+        if shown == "required":
+            assert actions[flag].required, flag
+        elif shown in ("none", "off"):
+            assert actions[flag].default is {"none": None, "off": False}[shown], flag
+        else:
+            assert str(actions[flag].default) == shown, flag
+
+
+class TestConfigEcho:
+    """config.json holds every parsed run setting, as parsed, and the dataset
+    name: not --name, --out-dir, --jobs or --apt-select."""
+
+    def test_single_run(self, data_file, tmp_path):
+        out = tmp_path / "out"
+        assert main([
+            "--train", data_file, "--name", "toy-run", "--extra-edges", "1", "--exchange", "1",
+            "--heuristic", "rejection", "--apt-clusters", "4", "--l2", "0.5", "--max-iter", "2",
+            "--seed", "3", "--rejection-cap", "50", "--jobs", "2", "--out-dir", str(out),
+        ]) == 0
+        assert json.loads((out / "config.json").read_text()) == {
+            "apt_clusters": 4, "dataset": "toy-run", "exchange": 1, "extra_edges": 1,
+            "heuristic": "rejection", "l2": 0.5, "max_iter": 2, "rejection_cap": 50, "seed": 3,
+            "sweep": None, "test": None, "train": data_file, "valid": None,
+        }
+
+    def test_apt_select_echoes_the_selected_count(self, data_file, tmp_path, rng, caplog):
+        valid = write_data_file(tmp_path / "v.data", (rng.random((40, 4)) < 0.5).astype(int))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.INFO, logger="forced_pruning.cli"):
+            assert main([
+                "--train", data_file, "--valid", valid, "--apt-select", "--apt-clusters", "7",
+                "--exchange", "0", "--max-iter", "1", "--out-dir", str(out),
+            ]) == 0
+        selected = [int(m.group(1)) for r in caplog.records
+                    if (m := re.fullmatch(r"selected cluster count (\d+)", r.getMessage()))]
+        assert len(selected) == 1 and selected[0] in (4, 8, 16, 32)
+        assert json.loads((out / "config.json").read_text()) == {
+            "apt_clusters": selected[0], "dataset": "toy", "exchange": 0, "extra_edges": 0,
+            "heuristic": "greedy", "l2": 0.1, "max_iter": 1, "rejection_cap": 10000, "seed": 0,
+            "sweep": None, "test": None, "train": data_file, "valid": valid,
+        }
+
+    def test_sweep(self, data_file, tmp_path, rng):
+        split = write_data_file(tmp_path / "s.data", (rng.random((30, 4)) < 0.5).astype(int))
+        out = tmp_path / "out"
+        spec = "m=0,1;k=1;h=greedy,rejection"
+        assert main([
+            "--train", data_file, "--valid", split, "--test", split, "--sweep", spec,
+            "--max-iter", "1", "--seed", "9", "--out-dir", str(out),
+        ]) == 0
+        assert json.loads((out / "config.json").read_text()) == {
+            "apt_clusters": 16, "dataset": "toy", "exchange": 5, "extra_edges": 0,
+            "heuristic": "greedy", "l2": 0.1, "max_iter": 1, "rejection_cap": 10000, "seed": 9,
+            "sweep": spec, "test": split, "train": data_file, "valid": split,
+        }
 
 
 class TestRunSingle:
