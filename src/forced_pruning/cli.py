@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import io
+import itertools
 import json
 import logging
 import os
@@ -153,6 +155,12 @@ class CellResult:
     seconds: float
     error: str | None = None
 
+    @classmethod
+    def of(cls, config: PruningConfig, neg_pll: dict[str, float], seconds: float,
+           error: str | None = None) -> CellResult:
+        return cls(config.heuristic, config.extra_edges, config.exchange_size, config.seed,
+                   neg_pll, seconds, error)
+
     @property
     def failed(self) -> bool:
         return self.error is not None
@@ -220,10 +228,6 @@ def _dataset_name(train_path: str) -> str:
     return os.path.basename(train_path).split(".")[0]
 
 
-def _eval_splits(model: PairwiseModel, splits: dict[str, DataSet]) -> dict[str, float]:
-    return {name: -pll(model, ds) for name, ds in splits.items()}
-
-
 def _load_splits(args) -> dict[str, DataSet]:
     """The splits given, in train, valid, test order."""
     splits = {"train": load_dataset(args.train)}
@@ -274,36 +278,40 @@ def _config_echo(args, name: str) -> dict:
     return {**{k: v for k, v in vars(args).items() if k not in skip}, "dataset": name}
 
 
-def _select_apt_clusters(splits: dict[str, DataSet], config: PruningConfig) -> tuple[int, PruningResult]:
-    """Pick the cluster count with the best validation negative PLL."""
-    best = None
+def _run_cell(splits: dict[str, DataSet], config: PruningConfig) -> tuple[PruningResult, CellResult]:
+    """Learn one cell on the train split and score its model on every split.
+    The cell's seconds time the learning only."""
+    t0 = time.perf_counter()
+    result = forced_pruning(splits["train"], config)
+    seconds = time.perf_counter() - t0
+    neg_pll = {name: -pll(result.model, ds) for name, ds in splits.items()}
+    return result, CellResult.of(config, neg_pll, seconds)
+
+
+def _select_apt_clusters(splits: dict[str, DataSet], config: PruningConfig
+                         ) -> tuple[PruningConfig, PruningResult, CellResult]:
+    """The first cluster count with the best validation negative PLL: its
+    config, result and cell, whose seconds sum the learning of every count."""
+    runs = []
     for c in APT_SELECT_CHOICES:
-        result = forced_pruning(splits["train"], replace(config, apt_clusters=c))
-        score = -pll(result.model, splits["valid"])
-        logger.info("cluster count %d: validation neg PLL %.6f", c, score)
-        if best is None or score < best[0]:
-            best = (score, c, result)
-    _, c, result = best
-    logger.info("selected cluster count %d", c)
-    return c, result
+        candidate = replace(config, apt_clusters=c)
+        result, cell = _run_cell(splits, candidate)
+        logger.info("cluster count %d: validation neg PLL %.6f", c, cell.neg_pll["valid"])
+        runs.append((candidate, result, cell))
+    config, result, cell = min(runs, key=lambda run: run[2].neg_pll["valid"])  # the first minimum
+    logger.info("selected cluster count %d", config.apt_clusters)
+    return config, result, replace(cell, seconds=sum(run[2].seconds for run in runs))
 
 
 def run_single(args) -> int:
     splits = _load_splits(args)
     name = args.name or _dataset_name(args.train)
     config = _cell_config(args, args.extra_edges, args.exchange, args.heuristic, args.seed)
-    t0 = time.perf_counter()
     if args.apt_select:
-        clusters, result = _select_apt_clusters(splits, config)
+        config, result, cell = _select_apt_clusters(splits, config)
     else:
-        clusters, result = args.apt_clusters, forced_pruning(splits["train"], config)
-    seconds = time.perf_counter() - t0
-
-    cell = CellResult(
-        heuristic=args.heuristic, m=args.extra_edges, k=args.exchange, seed=args.seed,
-        neg_pll=_eval_splits(result.model, splits), seconds=seconds,
-    )
-    echo = {**_config_echo(args, name), "apt_clusters": clusters}
+        result, cell = _run_cell(splits, config)
+    echo = {**_config_echo(args, name), "apt_clusters": config.apt_clusters}
     report = ExperimentReport(dataset=name, config=echo, splits=tuple(splits), cells=[cell])
 
     _write_report(args.out_dir, report)
@@ -311,10 +319,9 @@ def run_single(args) -> int:
     _write_iteration_log(os.path.join(args.out_dir, "iterations.jsonl"), result)
 
     for split, value in cell.neg_pll.items():
-        print(f"{name} {args.heuristic} m={args.extra_edges} k={args.exchange} "
-              f"{split} neg PLL {value:.4f}")
+        print(f"{name} {cell.heuristic} m={cell.m} k={cell.k} {split} neg PLL {value:.4f}")
     print(f"model written to {os.path.join(args.out_dir, 'model.txt')} "
-          f"(best iteration {result.best_iteration}, {seconds:.1f}s)")
+          f"(best iteration {result.best_iteration}, {cell.seconds:.1f}s)")
     return 0
 
 
@@ -372,13 +379,6 @@ def cell_seed(base_seed: int, heuristic: str, m: int, k: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_cell_on(splits: dict[str, DataSet], config: PruningConfig) -> tuple[dict[str, float], float]:
-    t0 = time.perf_counter()
-    model = forced_pruning(splits["train"], config).model
-    seconds = time.perf_counter() - t0
-    return _eval_splits(model, splits), seconds
-
-
 # The splits a pool worker runs its cells on, set once by _init_pool_worker.
 _pool_splits: dict[str, DataSet] = {}
 
@@ -388,55 +388,38 @@ def _init_pool_worker(splits: dict[str, DataSet]) -> None:
     _pool_splits = splits
 
 
-def _run_pool_cell(config: PruningConfig) -> tuple[dict[str, float], float]:
-    return _run_cell_on(_pool_splits, config)
+def _run_pool_cell(config: PruningConfig) -> CellResult:
+    return _run_cell(_pool_splits, config)[1]
 
 
 def run_sweep(args) -> int:
     ms, ks, hs = parse_sweep(args.sweep)
-    heuristics = hs or [args.heuristic]
     name = args.name or _dataset_name(args.train)
     splits = _load_splits(args)  # also fails fast before launching worker processes
     for ds in splits.values():
         ds.compressed()  # once, before pool workers inherit the splits
     chow_liu_tree(splits["train"])  # likewise
 
-    grid = sorted((h, m, k) for h in heuristics for m in ms for k in ks)
-    cells_cfg = []
-    for h, m, k in grid:
-        seed = cell_seed(args.seed, h, m, k)
-        cells_cfg.append((h, m, k, seed, _cell_config(args, m, k, h, seed)))
+    configs = [_cell_config(args, m, k, h, cell_seed(args.seed, h, m, k))
+               for h, m, k in sorted(itertools.product(hs or [args.heuristic], ms, ks))]
     report = ExperimentReport(dataset=name, config=_config_echo(args, name), splits=tuple(splits))
-
-    def finish(h, m, k, seed, outcome, error=None):
-        if error is not None:
-            logger.error("cell %s m=%d k=%d failed: %s", h, m, k, error)
-            report.cells.append(CellResult(h, m, k, seed, {}, 0.0, error=str(error)))
-            return
-        neg_pll, seconds = outcome
-        report.cells.append(CellResult(h, m, k, seed, neg_pll, seconds))
-        logger.info("cell %s m=%d k=%d done in %.1fs", h, m, k, seconds)
-
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(args.jobs, len(grid)),
-                initializer=_init_pool_worker, initargs=(splits,)) as pool:
-            futures = {
-                pool.submit(_run_pool_cell, cfg): (h, m, k, seed)
-                for h, m, k, seed, cfg in cells_cfg
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                h, m, k, seed = futures[fut]
-                try:
-                    finish(h, m, k, seed, fut.result())
-                except Exception as exc:
-                    finish(h, m, k, seed, None, error=exc)
-    else:
-        for h, m, k, seed, cfg in cells_cfg:
+    jobs = min(args.jobs, len(configs))
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_pool_worker, initargs=(splits,)) if jobs >= 2 else None
+    with pool or contextlib.nullcontext():
+        # every cell is submitted before the first is awaited
+        runs = ([pool.submit(_run_pool_cell, c).result for c in configs] if pool else
+                [lambda c=c: _run_cell(splits, c)[1] for c in configs])
+        for config, run in zip(configs, runs):
             try:
-                finish(h, m, k, seed, _run_cell_on(splits, cfg))
+                cell = run()
             except Exception as exc:
-                finish(h, m, k, seed, None, error=exc)
+                cell = CellResult.of(config, {}, 0.0, error=str(exc))
+                logger.error("cell %s m=%d k=%d failed: %s", cell.heuristic, cell.m, cell.k, exc)
+            else:
+                logger.info("cell %s m=%d k=%d done in %.1fs", cell.heuristic, cell.m, cell.k,
+                            cell.seconds)
+            report.cells.append(cell)
 
     print(_write_report(args.out_dir, report), end="")
 

@@ -1,7 +1,9 @@
 """CLI flows, model file round-trip, report formats, and exit codes."""
 
+import ast
 import concurrent.futures
 import csv
+import importlib
 import json
 import logging
 import multiprocessing
@@ -41,6 +43,13 @@ def data_file(tmp_path, rng):
 def read_csv(path):
     with open(path) as f:
         return list(csv.DictReader(f))
+
+
+# A function patched in this process reaches the pool workers only when they
+# are forked from it; under another start method they import a fresh module.
+forked_workers_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="needs pool workers forked from the test process")
 
 
 class TestModelFile:
@@ -224,6 +233,25 @@ def test_readme_flag_table_matches_the_parser():
             assert str(actions[flag].default) == shown, flag
 
 
+def test_tracer_sites_in_the_cli_and_dataset_exist():
+    """perfbench/spans.py times each layer by patching the module attributes in
+    its WRAP_SITES, and skips a missing one, so a renamed attribute would make
+    its layer read 0. The file is parsed, not imported."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py"),
+              encoding="utf-8") as f:
+        body = ast.parse(f.read()).body
+    sites = next(ast.literal_eval(node.value) for node in body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["WRAP_SITES"])
+    checked = [(module, attr) for module, attr, _ in sites
+               if module in ("forced_pruning.cli", "forced_pruning.dataset")]
+    assert checked
+    for module, attr in checked:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"{module} has no {attr}"
+            obj = getattr(obj, part)
+
+
 class TestConfigEcho:
     """config.json holds every parsed run setting, as parsed, and the dataset
     name: not --name, --out-dir, --jobs or --apt-select."""
@@ -380,7 +408,8 @@ class TestRunSweep:
         heuristics = {r["heuristic"] for r in read_csv(out / "report.csv")}
         assert heuristics == {"greedy", "rejection"}
 
-    def test_failed_cell_marked_and_sweep_continues(self, data_file, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=forked_workers_only)])
+    def test_failed_cell_marked_and_sweep_continues(self, data_file, tmp_path, monkeypatch, jobs):
         import forced_pruning.cli as cli_mod
         real = cli_mod.forced_pruning
         def flaky(ds, config):
@@ -391,7 +420,7 @@ class TestRunSweep:
         out = tmp_path / "out"
         code = main([
             "--train", data_file, "--sweep", "m=0,1;k=0", "--max-iter", "1",
-            "--out-dir", str(out),
+            "--jobs", str(jobs), "--out-dir", str(out),
         ])
         assert code == 0
         rows = {r["m"]: r["neg_pll"] for r in read_csv(out / "report.csv")}
@@ -399,7 +428,32 @@ class TestRunSweep:
         assert float(rows["0"]) > 0
         assert "FAIL" in (out / "report.txt").read_text()
         timing = {r["m"]: r["status"] for r in read_csv(out / "timings.csv")}
-        assert timing["1"] == "synthetic failure"
+        assert timing == {"0": "ok", "1": "synthetic failure"}
+
+    @forked_workers_only
+    def test_dead_worker_fails_the_cells_it_lost(self, data_file, tmp_path, monkeypatch):
+        import forced_pruning.cli as cli_mod
+        owner, real = os.getpid(), cli_mod.forced_pruning
+
+        def dies_in_worker(ds, config):
+            if config.extra_edges == 1 and os.getpid() != owner:
+                os._exit(1)
+            return real(ds, config)
+
+        monkeypatch.setattr(cli_mod, "forced_pruning", dies_in_worker)
+        out = tmp_path / "out"
+        assert main(["--train", data_file, "--sweep", "m=0,1;k=0", "--max-iter", "1",
+                     "--jobs", "2", "--out-dir", str(out)]) == 0
+        rows = {r["m"]: r["neg_pll"] for r in read_csv(out / "report.csv")}
+        status = {r["m"]: r["status"] for r in read_csv(out / "timings.csv")}
+        assert rows.keys() == status.keys() == {"0", "1"}
+        assert rows["1"] == "nan"
+        assert "terminated abruptly" in status["1"]
+        # the other cell either finished before the pool broke or was lost with it
+        if status["0"] == "ok":
+            assert float(rows["0"]) > 0
+        else:
+            assert rows["0"] == "nan" and "terminated abruptly" in status["0"]
 
     def test_parallel_jobs_match_sequential(self, data_file, tmp_path):
         args = [
@@ -411,10 +465,7 @@ class TestRunSweep:
         assert main(args + ["--out-dir", str(par), "--jobs", "2"]) == 0
         assert (seq / "report.csv").read_bytes() == (par / "report.csv").read_bytes()
 
-    # The patched loader reaches the pool workers only when they are forked
-    # from this process; under another start method they import a fresh module.
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="needs pool workers forked from the test process")
+    @forked_workers_only
     def test_pool_workers_never_reload_the_splits(self, data_file, tmp_path, rng, monkeypatch):
         import forced_pruning.cli as cli_mod
 
@@ -446,8 +497,13 @@ class TestRunSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
         assert main(["--train", data_file, "--sweep", "m=0,1;k=1", "--max-iter", "1",
-                     "--jobs", "4", "--out-dir", str(tmp_path / "out")]) == 0
+                     "--jobs", "4", "--out-dir", str(tmp_path / "two")]) == 0
         assert workers == [2]
+        # a single cell runs in this process: a one-worker pool would only add its start
+        assert main(["--train", data_file, "--sweep", "m=0;k=1", "--max-iter", "1",
+                     "--jobs", "2", "--out-dir", str(tmp_path / "one")]) == 0
+        assert workers == [2]
+        assert {r["status"] for r in read_csv(tmp_path / "one" / "timings.csv")} == {"ok"}
 
     def test_cell_result_independent_of_grid(self, tmp_path, rng):
         X = (rng.random((150, 6)) < 0.5).astype(int)
@@ -499,12 +555,7 @@ class TestChowLiuOncePerTrainSplit:
                      "--max-iter", "2", "--out-dir", str(tmp_path / "out")]) == 0
         assert mi_calls == ["toy"]  # one computation serves the 4 fits
 
-    @pytest.mark.parametrize("jobs", [
-        1,
-        pytest.param(2, marks=pytest.mark.skipif(
-            multiprocessing.get_start_method() != "fork",
-            reason="the patched counter reaches pool workers only when they are forked")),
-    ])
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=forked_workers_only)])
     def test_sweep(self, data_file, tmp_path, mi_calls, jobs):
         out = tmp_path / "out"
         assert main(["--train", data_file, "--sweep", "m=0,1;k=1;h=greedy,rejection",
@@ -524,6 +575,32 @@ class TestAptSelect:
         assert code == 0
         echo = json.loads((out / "config.json").read_text())
         assert echo["apt_clusters"] in (4, 8, 16, 32)
+
+    def test_selection_is_the_plain_run_at_the_first_best_count(self, tmp_path, rng):
+        # 20 variables and 7 extra edges: 46 parameters, so each count ties differently
+        X = np.zeros((300, 20), dtype=int)
+        X[:, 0] = rng.random(300) < 0.5
+        for j in range(1, 20):
+            X[:, j] = X[:, j - 1] ^ (rng.random(300) < 0.25)
+        train = write_data_file(tmp_path / "chain.data", X[:200])
+        valid = write_data_file(tmp_path / "valid.data", X[200:])
+        common = ["--train", train, "--valid", valid, "--extra-edges", "7", "--exchange", "2",
+                  "--max-iter", "3", "--seed", "1"]
+
+        def run(name, *flags):
+            out = tmp_path / name
+            assert main(common + [*flags, "--out-dir", str(out)]) == 0
+            valid_neg_pll = {r["split"]: float(r["neg_pll"]) for r in read_csv(out / "report.csv")}
+            return out, valid_neg_pll["valid"]
+
+        plain = {c: run(f"c{c}", "--apt-clusters", str(c)) for c in (4, 8, 16, 32)}
+        assert len({(out / "model.txt").read_bytes() for out, _ in plain.values()}) == 4
+        scores = [score for _, score in plain.values()]
+        first_best = (4, 8, 16, 32)[scores.index(min(scores))]
+        selected, _ = run("select", "--apt-select")
+        assert json.loads((selected / "config.json").read_text())["apt_clusters"] == first_best
+        for name in ("report.csv", "model.txt"):
+            assert (selected / name).read_bytes() == (plain[first_best][0] / name).read_bytes()
 
 
 class TestRunInvariance:
