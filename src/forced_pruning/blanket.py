@@ -25,7 +25,8 @@ uint8 rows and kept in its cache (:meth:`DataSet.cached`).
 A variable's groups depend only on (dataset, variable, blanket), and an
 exchange of k edges changes at most 2k blankets. Tables built while the last
 tables of the same dataset are still held (the weak slot of
-:func:`tables_for`) take each unchanged variable's first rows, counts,
+:func:`tables_for`, kept here per dataset, so a pickled or copied dataset
+never carries it) take each unchanged variable's first rows, counts,
 row-to-group map and, if computed there, ``ones`` rows from them, and
 regroup only the other variables. They keep those arrays, never the
 older tables, so no chain of tables stays alive.
@@ -53,6 +54,9 @@ from .model import _check_dims, _log_sigmoid, _sigmoid
 ADD_WEIGHT_BOUND = 30.0
 _NEWTON_STEPS = 100
 _NEWTON_TOL = 1e-13
+
+# tables_for's slot: each dataset's last tables, both held weakly
+_last_tables = weakref.WeakKeyDictionary()
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -103,7 +107,7 @@ class BlanketTables:
         self._keys = [(v, *sorted(nb)) for v, nb in enumerate(neighbours)]
         # the last tables of ds, while a caller holds them: their blocks of
         # every unchanged blanket carry over (see the module docstring)
-        prev = ds._cache.get("tables", lambda: None)()
+        prev = _last_tables.get(ds, lambda: None)()
         prev_ones = None if prev is None else prev.__dict__.get("ones")
         reps, counts, self._inverse, self._carried_ones = [], [], [], {}
         for v, key in enumerate(self._keys):
@@ -305,10 +309,10 @@ class BlanketTables:
 
 def tables_for(model, ds: DataSet) -> BlanketTables:
     """The blanket tables of ``ds`` under the model's edge set, reused while a
-    caller holds them: a weak slot on ``ds`` remembers the last ones built."""
+    caller holds them: a weak slot per dataset remembers the last ones built."""
     _check_dims(model, ds)
-    tables = ds._cache.get("tables", lambda: None)()
+    tables = _last_tables.get(ds, lambda: None)()
     if tables is None or tables.edges != model.edges:
         tables = BlanketTables(ds, model.edges)
-        ds._cache["tables"] = weakref.ref(tables)
+        _last_tables[ds] = weakref.ref(tables)
     return tables

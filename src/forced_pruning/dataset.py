@@ -17,16 +17,15 @@ a row-to-group map. So a load and its compression hold about one copy of
 the instances plus one block, and a process forked after them inherits no
 other copy.
 
-A :class:`DataSet` knows only its instances, unique rows and weights; the
-module that derives more from them (the Chow-Liu tree, the blanket tables'
-arrays) builds it once and keeps it through :meth:`DataSet.cached`.
+A :class:`DataSet` knows only its instances, unique rows and weights. A
+module keeps what it derives from them (the Chow-Liu tree, the blanket
+tables' arrays) through :meth:`DataSet.cached`, and its own state itself.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import weakref
 from dataclasses import dataclass, field
 from typing import BinaryIO, Sequence
 
@@ -54,7 +53,7 @@ class DataSet:
 
     X: np.ndarray
     name: str = "dataset"
-    # derived from X alone, never observable: compression, Chow-Liu tree, tables' arrays and slot
+    # derived from X alone, never observable: compression, Chow-Liu tree, tables' arrays
     _cache: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,11 +73,6 @@ class DataSet:
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "_cache", {})
-
-    def __getstate__(self):
-        # a weak reference cannot be pickled; the tables are rebuilt on demand
-        cache = {k: v for k, v in self._cache.items() if not isinstance(v, weakref.ref)}
-        return {**self.__dict__, "_cache": cache}
 
     def __setstate__(self, state):
         # unpickled arrays come back writable; keep the cache, restore the flags

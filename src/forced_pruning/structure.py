@@ -173,14 +173,12 @@ def rejection_sample_delete(
 
 
 def _endpoints(candidates) -> tuple[np.ndarray, Sequence]:
-    """The candidates as an (n, 2) int64 array, and as given; a non-pair is a
-    ValueError. An endpoint beyond int64 is held at -2**62 or 2**62, so it
-    stays out of range without wrapping."""
-    if (isinstance(candidates, np.ndarray) and candidates.dtype.kind in "iu"
+    """The candidates as an (n, 2) int64 array, and as given: such an array
+    is read in place, anything else parsed pair by pair. A non-pair is a
+    ValueError; an endpoint beyond int64 is held at ±2**62, out of range."""
+    if (isinstance(candidates, np.ndarray) and candidates.dtype == np.int64
             and candidates.shape[1:] == (2,)):
-        if candidates.dtype == np.uint64:
-            return np.minimum(candidates, 2**62).astype(np.int64), candidates
-        return candidates.astype(np.int64, copy=False), candidates  # codes lo*V + hi must not wrap
+        return candidates, candidates
     pairs = []
     for e in candidates:
         try:

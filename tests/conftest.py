@@ -19,6 +19,7 @@ from forced_pruning import (
     Edge,
     IterationRecord,
     PairwiseModel,
+    canonical_edge,
     chow_liu_tree,
     complete_edges,
     learn_params_with_apt,
@@ -90,6 +91,34 @@ def sample_dataset(model, n_rows, rng, name="sampled") -> DataSet:
     states, p = enumerate_joint(model)
     idx = rng.choice(states.shape[0], size=n_rows, p=p)
     return DataSet(states[idx], name=name)
+
+
+def planted_model(rng, n_vars, n_extra) -> PairwiseModel:
+    """A random tree plus ``n_extra`` random edges, each |w| in [1.05, 1.95]
+    of random sign, and node weights -0.5 * sum_u W_vu, which center every
+    conditional logit: edges strong enough to be found from a few thousand
+    rows."""
+    tree = [canonical_edge(int(rng.integers(v)), v) for v in range(1, n_vars)]
+    rest = [e for e in complete_edges(n_vars) if e not in tree]
+    edges = tuple(sorted(tree + [rest[i] for i in rng.choice(len(rest), n_extra, replace=False)]))
+    w = rng.uniform(1.05, 1.95, len(edges)) * rng.choice([-1.0, 1.0], len(edges))
+    W = PairwiseModel(n_vars, np.zeros(n_vars), edges, w).weight_matrix()
+    return PairwiseModel(n_vars, -0.5 * W.sum(axis=1), edges, w)
+
+
+class PlantedScore(NamedTuple):
+    precision: float  # share of the learned edges that are planted
+    recall: float  # share of the planted edges that were learned
+    gap: float  # test neg PLL of the learned model minus the planted model's
+
+
+def planted_score(result, planted, test) -> PlantedScore:
+    """How close a :class:`PruningResult` came to the model its data was
+    sampled from."""
+    learned, true = set(result.model.edges), set(planted.edges)
+    hits = len(learned & true)
+    return PlantedScore(hits / len(learned), hits / len(true),
+                        pll(planted, test) - pll(result.model, test))
 
 
 def fd_gradient(model, ds, h=1e-5) -> np.ndarray:

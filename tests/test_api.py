@@ -1,7 +1,8 @@
 """The public names of the package: pinned, resolvable, and all imported; the
-parameters of the functions that share the Markov-blanket tables; numpy
-as the only third-party module that the package and its CLI load; and a run
-that leaves ``numpy.ma`` unloaded."""
+parameters of the functions that share the Markov-blanket tables; the
+dataset cache named by ``dataset.py`` alone; numpy as the only third-party
+module that the package and its CLI load; and a run that leaves
+``numpy.ma`` unloaded."""
 
 import ast
 import glob
@@ -126,6 +127,23 @@ def test_no_function_takes_tables():
                 a = node.args
                 names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
                 assert "tables" not in names, f"{path}:{node.lineno}"
+
+
+def test_only_the_dataset_module_names_its_cache():
+    # other modules keep what they derive from a dataset through
+    # DataSet.cached, and state of their own (blanket's slot) themselves
+    sites = []
+    for path in glob.glob(os.path.join(REPO_ROOT, "src", "forced_pruning", "*.py")):
+        if os.path.basename(path) == "dataset.py":
+            continue
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            # ds._cache read or written, or named as a string (getattr, setattr)
+            if (isinstance(node, ast.Attribute) and node.attr == "_cache"
+                    or isinstance(node, ast.Constant) and node.value == "_cache"):
+                sites.append((os.path.basename(path), node.lineno))
+    assert sites == []
 
 
 def test_minimize_has_one_call_site():

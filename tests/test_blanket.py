@@ -320,7 +320,7 @@ GROUP_ARRAYS = ("start", "var", "rep", "count", "x", "t", "inc_ptr", "inc_group"
 class TestCarryOver:
     """Tables built while the last ones for the dataset are held take the
     blocks of every unchanged blanket from them; the result must equal a
-    build on an unpickled copy of the dataset, whose cache has no slot."""
+    build on an unpickled copy of the dataset, which has no slot."""
 
     @settings(max_examples=40, deadline=None)
     @given(exchange_sequences())
@@ -330,7 +330,7 @@ class TestCarryOver:
         pending = None  # tables whose ones are checked only after they were carried from
         for i, edges in enumerate(structures):
             tables = tables_for(PairwiseModel.zeros(shared.n_vars, edges), shared)
-            assert "tables" not in clone._cache
+            assert clone not in blanket._last_tables
             fresh = BlanketTables(clone, edges)
             ref = void_key_tables(shared, edges)
             assert_same_bytes(table_arrays(tables, GROUP_ARRAYS), table_arrays(fresh, GROUP_ARRAYS))

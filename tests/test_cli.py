@@ -606,7 +606,9 @@ class TestAptSelect:
 class TestRunInvariance:
     """A run's report, model and iteration log depend on the data, config
     and seed alone: not on the BLAS thread count, nor on the order of the
-    training rows."""
+    training rows. The run's outputs cannot show the order of the compressed
+    rows, since the loop sums over blanket groups; the row-based PLL at full
+    precision can."""
 
     def test_outputs_independent_of_blas_threads_and_row_order(self, tmp_path, rng):
         # a noisy chain of 10 variables: most rows occur several times
@@ -639,3 +641,14 @@ class TestRunInvariance:
         threads = {v: "2" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
         assert run("threads", train, **threads) == base
         assert run("shuffled", shuffled) == base
+
+        # pll sums over the compressed rows in their order, so its bits match
+        # on both files only if compression orders the rows by value alone.
+        # One model can miss a wrong order (about half of all random models
+        # do); these eight catch rows left in file order and unique rows in
+        # first-occurrence order
+        given, permuted = load_dataset(train), load_dataset(shuffled)
+        draw = np.random.default_rng(3)
+        learned = load_model(str(tmp_path / "base" / "model.txt"))[0]
+        for model in [learned, *(random_model(draw, 10) for _ in range(8))]:
+            assert pll(model, given) == pll(model, permuted)

@@ -33,6 +33,8 @@ from forced_pruning.blanket import BlanketTables, tables_for
 
 from conftest import (
     make_dataset,
+    planted_model,
+    planted_score,
     random_dataset,
     random_model,
     reference_forced_pruning,
@@ -433,6 +435,28 @@ class TestAgainstReference:
                 ref.negs[result.best_iteration - 1], rel=1e-12, abs=0.0)
 
 
+class TestPlantedRecovery:
+    """Data sampled exactly from a planted model, learned at its own edge
+    budget under a small penalty, gives back its edges and nearly its fit."""
+
+    def test_recovers_the_planted_edges(self):
+        # 8 variables, a tree plus 3 edges, 3000 train and 3000 test rows,
+        # k=2, 10 iterations. Measured over seeds 0-19: at least 9 of 10
+        # edges and a gap of at most 0.082 nats; at the default l2 = 0.1,
+        # 7-10 edges and a gap of 0.435-0.618 on every seed. So recall >=
+        # 0.8 leaves one edge of margin, and gap <= 0.15 leaves 0.068 nats
+        # above the worst seed and 0.285 below the default penalty's best.
+        cfg = PruningConfig(extra_edges=3, exchange_size=2, max_iter=10,
+                            fit=FitOptions(l2_strength=1e-4))
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            planted = planted_model(rng, 8, 3)
+            train, test = sample_dataset(planted, 3000, rng), sample_dataset(planted, 3000, rng)
+            score = planted_score(forced_pruning(train, cfg), planted, test)
+            assert score.precision == score.recall  # the true budget: 10 edges each
+            assert score.recall >= 0.8 and score.gap <= 0.15, (seed, score)
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Weak references to every BlanketTables built while the test runs."""
@@ -508,6 +532,15 @@ class TestSharedTables:
             gc.enable()
         assert len(alive[2]) == 3 and alive[2][2] and not alive[2][0]
 
+    def test_the_slot_keeps_no_dataset_alive(self, rng):
+        ds = random_dataset(rng, 5, 60)
+        forced_pruning(ds, PruningConfig(extra_edges=2, exchange_size=2, max_iter=3))
+        assert ds in blanket._last_tables
+        gone = weakref.ref(ds)
+        del ds
+        gc.collect()
+        assert gone() is None
+
     def test_dataset_pickles_without_its_tables(self, rng):
         ds = random_dataset(rng, 5, 60)
         cfg = PruningConfig(extra_edges=2, exchange_size=2, max_iter=3)
@@ -519,8 +552,14 @@ class TestSharedTables:
         for a, b in zip(got, kept, strict=True):
             assert not a.flags.writeable
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        held = tables_for(result.model, ds)  # a live slot is left out too
-        assert "tables" in ds._cache and "tables" not in pickle.loads(pickle.dumps(ds))._cache
+        # the live slot is blanket's, keyed by the dataset: neither a pickle
+        # nor a deep copy carries it
+        held = tables_for(result.model, ds)
+        assert blanket._last_tables[ds]() is held
+        for copied in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
+            assert copied not in blanket._last_tables
+            assert sorted(copied._cache) == sorted(ds._cache)
+            assert not any(a.flags.writeable for a in (copied.X, *copied.compressed()))
         again = forced_pruning(clone, cfg)
         assert again.model.weight_vector().tobytes() == result.model.weight_vector().tobytes()
         assert held.edges == result.model.edges
