@@ -15,20 +15,21 @@ fewer: the plants Chow-Liu tree has about 500 groups in all against about
 
 Groups are keyed by the variable and its blanket, and grouped by
 :func:`dataset.group_rows`, the routine that also deduplicates the rows of
-a dataset, on a column-major uint8 copy of the compressed rows: without a
-sort for a key of at most log2(8 * unique rows) columns, by a stable
-lexsort beyond. So grouping is exact at any blanket size, and the group
-order is the lexicographic row order. The group values and the edge
-incidences are read from the same copy, made once per dataset from its
-uint8 rows and kept in its cache (:meth:`DataSet.cached`).
+a dataset, on a column-major uint8 copy of the compressed rows: by one
+weighted count of the key codes, which also gives the group counts, for a
+key of at most log2(8 * unique rows) columns, by a stable lexsort beyond.
+So grouping is exact at any blanket size, and the group order is the
+lexicographic row order. The group values and the edge incidences are read
+at any row of the group, where the variable and its blanket agree, from the
+copy made once per dataset and kept in its cache (:meth:`DataSet.cached`).
 
 A variable's groups depend only on (dataset, variable, blanket), and an
 exchange of k edges changes at most 2k blankets. Tables built while the last
 tables of the same dataset are still held (the weak slot of
 :func:`tables_for`, kept here per dataset, so a pickled or copied dataset
-never carries it) take each unchanged variable's first rows, counts,
-row-to-group map and, if computed there, ``ones`` rows from them, and
-regroup only the other variables. They keep those arrays, never the
+never carries it) take each unchanged variable's representative rows,
+counts, row-to-group map and, if computed there, ``ones`` rows from them,
+and regroup only the other variables. They keep those arrays, never the
 older tables, so no chain of tables stays alive.
 
 ``ones`` is one weighted ``np.bincount`` per regrouped variable over the
@@ -109,20 +110,18 @@ class BlanketTables:
         # every unchanged blanket carry over (see the module docstring)
         prev = _last_tables.get(ds, lambda: None)()
         prev_ones = None if prev is None else prev.__dict__.get("ones")
-        reps, counts, self._inverse, self._carried_ones = [], [], [], {}
+        blocks, self._carried_ones = [], {}
         for v, key in enumerate(self._keys):
             if prev is not None and prev._keys[v] == key:
                 lo, hi = prev.start[v], prev.start[v + 1]
-                first, count, inv = prev.rep[lo:hi], prev.count[lo:hi], prev._inverse[v]
+                blocks.append((prev.rep[lo:hi], prev._inverse[v], prev.count[lo:hi]))
                 if prev_ones is not None:
                     self._carried_ones[v] = prev_ones[lo:hi]
             else:
-                first, inv = group_rows(columns, key)
-                count = np.bincount(inv, weights=weights)
-            reps.append(first)
-            counts.append(count)
-            self._inverse.append(inv)  # per variable: group of each compressed row
-        sizes = [first.size for first in reps]
+                blocks.append(group_rows(columns, key, weights))
+        # per variable: a row of each group, the group of each compressed row, the group counts
+        reps, self._inverse, counts = zip(*blocks)
+        sizes = [rep.size for rep in reps]
         self.start = np.concatenate([[0], np.cumsum(sizes)])
         self.var = np.repeat(np.arange(V), sizes)
         self.rep = np.concatenate(reps)

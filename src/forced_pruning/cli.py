@@ -392,6 +392,14 @@ def _run_pool_cell(config: PruningConfig) -> CellResult:
     return _run_cell(_pool_splits, config)[1]
 
 
+def _run_alone(splits: dict[str, DataSet], config: PruningConfig) -> CellResult:
+    """A cell run in a fresh one-worker pool, as a cell lost with a pool whose
+    worker died reruns: it fails then only if its own worker dies."""
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, initializer=_init_pool_worker, initargs=(splits,)) as pool:
+        return pool.submit(_run_pool_cell, config).result()
+
+
 def run_sweep(args) -> int:
     ms, ks, hs = parse_sweep(args.sweep)
     name = args.name or _dataset_name(args.train)
@@ -412,7 +420,10 @@ def run_sweep(args) -> int:
                 [lambda c=c: _run_cell(splits, c)[1] for c in configs])
         for config, run in zip(configs, runs):
             try:
-                cell = run()
+                try:
+                    cell = run()
+                except concurrent.futures.BrokenExecutor:  # a worker died, maybe this cell's
+                    cell = _run_alone(splits, config)
             except Exception as exc:
                 cell = CellResult.of(config, {}, 0.0, error=str(exc))
                 logger.error("cell %s m=%d k=%d failed: %s", cell.heuristic, cell.m, cell.k, exc)

@@ -15,7 +15,8 @@ columns at a time from row blocks of that array and, when the rows are
 narrow enough, counted through a table of all row codes without a sort or
 a row-to-group map. So a load and its compression hold about one copy of
 the instances plus one block, and a process forked after them inherits no
-other copy.
+other copy. :func:`group_rows` counts the blanket tables' groups in such a
+table too, weighted by the positive row counts.
 
 A :class:`DataSet` knows only its instances, unique rows and weights. A
 module keeps what it derives from them (the Chow-Liu tree, the blanket
@@ -149,11 +150,12 @@ def _compress(ds: DataSet) -> tuple[np.ndarray, np.ndarray]:
         code = words[0]
         step = _BLOCK_BYTES // 32  # rows per block: about 20 bytes of index temporaries each
         blocks = [slice(start, start + step) for start in range(0, n, step)]
-        ids = _code_table(code, v, blocks)
-        k = int(ids[-1])
-        # the code of group g is the first entry of the running count to reach g + 1
-        present = np.searchsorted(ids, np.arange(1, k + 1, dtype=np.int32))
-        counts = sum(np.bincount(ids[code[b]], minlength=k + 1) for b in blocks)[1:]
+        ids = np.zeros(2 ** v, dtype=np.int32)
+        for b in blocks:
+            ids[code[b]] = 1
+        present = np.flatnonzero(ids)  # the codes of the groups, in code order
+        ids[present] = np.arange(present.size, dtype=np.int32)
+        counts = sum(np.bincount(ids[code[b]], minlength=present.size) for b in blocks)
         unique = ((present[:, None] >> np.arange(v - 1, -1, -1)) & 1).astype(np.uint8)
     else:
         order, new = _sorted_groups(words)
@@ -225,42 +227,35 @@ def _shift_or_words(columns: np.ndarray, key: Sequence[int]) -> np.ndarray:
     return words
 
 
-def group_rows(columns: np.ndarray, key: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows by their ``key`` columns: the first row of each group,
-    and the int32 group of every row, groups in lexicographic row order.
+def group_rows(columns: np.ndarray, key: Sequence[int], weights: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows by their ``key`` columns: a row of each group, the
+    int32 group of every row and each group's total of the positive
+    ``weights``, groups in lexicographic row order.
 
     ``columns`` is a column-major uint8 0/1 copy or view of the rows. The
     key columns are packed into words by :func:`_shift_or_words`, so key
     order is the lexicographic row order. A key of at most log2(8 * rows)
-    columns is grouped without a sort, by marking its codes in a table of
-    all 2**len(key) codes; a wider one by a stable lexsort of its words. Up
-    to 8 codes per row, marking and counting the table is still faster than
-    sorting.
+    columns is grouped without a sort, by one weighted count of its codes
+    in a table of all 2**len(key) codes; a wider one by a stable lexsort of
+    its words. Up to 8 codes per row, counting the table is still faster
+    than sorting.
     """
     n = columns.shape[1]
     words = _shift_or_words(columns, key)
     if 2 ** len(key) <= 8 * n:
-        code = words[0]
-        ids = _code_table(code, len(key), [slice(None)])
-        inv = ids[code] - 1
-        first = np.full(ids[-1], n, dtype=np.intp)
-        np.minimum.at(first, inv, np.arange(n))
-        return first, inv
+        total = np.bincount(words[0], weights=weights, minlength=2 ** len(key))
+        present = np.flatnonzero(total > 0)  # the codes of the groups, in code order
+        ids = np.zeros(total.size, dtype=np.int32)
+        ids[present] = np.arange(present.size, dtype=np.int32)
+        inv = ids[words[0]]
+        rows = np.empty(present.size, dtype=np.intp)
+        rows[inv] = np.arange(n)  # any member serves: its key columns are its group's
+        return rows, inv, total[present]
     order, new = _sorted_groups(words)
     inv = np.empty(n, dtype=np.int32)
     inv[order] = np.cumsum(new, dtype=np.int32) - 1
-    return order[new], inv
-
-
-def _code_table(code: np.ndarray, bits: int, blocks: Sequence[slice]) -> np.ndarray:
-    """The int32 table of all 2**bits codes holding, at each code present in
-    ``code``, its group plus 1, groups in code order: the present codes are
-    marked a block of rows at a time and the marks summed in place."""
-    ids = np.zeros(2 ** bits, dtype=np.int32)
-    for b in blocks:
-        ids[code[b]] = 1
-    np.cumsum(ids, out=ids)
-    return ids
+    return order[new], inv, np.bincount(inv, weights=weights)
 
 
 def _sorted_groups(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Dataset loading, validation, compression, and the counts behind the MI."""
+"""Dataset loading, validation, compression, row grouping, and the counts behind the MI."""
 
 import concurrent.futures
 import gc
@@ -606,12 +606,15 @@ class TestRowCompression:
                 assert wide or -(-n // (size // 32)) >= 3
             else:
                 size = block
-            whole = group_rows(ds.X.T.copy(), range(n_vars))
+            ones = np.ones(n)
+            whole = group_rows(ds.X.T.copy(), range(n_vars), ones)
             with mock.patch.object(dataset_mod, "_BLOCK_BYTES", size):
                 rows, weights = ds.compressed()
-                blocked = group_rows(ds.X.T, range(n_vars))
-            for a, b in zip(blocked, whole):
+                blocked = group_rows(ds.X.T, range(n_vars), ones)
+            # the groups and totals alike; a group's row may be any member
+            for a, b in zip(blocked[1:], whole[1:]):
                 np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(blocked[1][blocked[0]], np.arange(blocked[0].size))
             ref_rows, ref_counts = np.unique(ds.X, axis=0, return_counts=True)
             np.testing.assert_array_equal(rows, ref_rows)
             np.testing.assert_array_equal(weights, ref_counts)
@@ -620,6 +623,37 @@ class TestRowCompression:
             assert columns.dtype == np.uint8 and columns.flags.c_contiguous
             assert not columns.flags.writeable
             np.testing.assert_array_equal(columns, ref_rows.T)
+
+
+class TestGroupRows:
+    """group_rows on both sides of the switch from the code table to the
+    lexsort, with random keys and positive non-integer weights."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("width", [1, 2, 5, 10])
+    def test_groups_and_totals(self, seed, width):
+        rng = np.random.default_rng(seed)
+        n, V = 200, 12
+        patterns = rng.random((40, V)) < rng.uniform(0.2, 0.8)
+        columns = np.ascontiguousarray(patterns[rng.integers(0, 40, n)].T, dtype=np.uint8)
+        weights = rng.uniform(0.1, 3.0, n)
+        key = [int(c) for c in rng.choice(V, width, replace=False)]
+        # repeats of the first key column at the end change no group and no
+        # group order, but make the key too wide for the code table
+        wide = key + [key[0]] * 11
+        assert 2 ** len(key) <= 8 * n < 2 ** len(wide)
+        table, lexsort = group_rows(columns, key, weights), group_rows(columns, wide, weights)
+        for rows, inv, totals in (table, lexsort):
+            assert rows.dtype == np.intp and inv.dtype == np.int32
+            # each returned row belongs to its own group
+            np.testing.assert_array_equal(inv[rows], np.arange(rows.size))
+            want = np.bincount(inv, weights=weights)
+            assert totals.dtype == want.dtype and totals.tobytes() == want.tobytes()
+        assert table[1].tobytes() == lexsort[1].tobytes()
+        assert table[2].tobytes() == lexsort[2].tobytes()
+        # groups in the lexicographic order of the key columns
+        ref = np.unique(columns[key].T, axis=0, return_inverse=True)[1]
+        np.testing.assert_array_equal(table[1], ref.ravel())
 
 
 class TestCounts:

@@ -592,9 +592,9 @@ def groupings(monkeypatch, builds):
     made = []
     group = blanket.group_rows
 
-    def counting(columns, key):
+    def counting(columns, key, weights):
         made.append((len(builds), key[0]))
-        return group(columns, key)
+        return group(columns, key, weights)
 
     monkeypatch.setattr(blanket, "group_rows", counting)
     return made
