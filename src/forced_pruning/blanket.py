@@ -6,22 +6,25 @@ every sum the learner needs collapses from the compressed rows to the
 (blanket configuration, x_v) groups of each variable: the PLL and its
 gradient, the loss from zeroing any set of edges, an upper bound on the PLL
 after zeroing any k edges (the rejection sampler's envelope), and the gain
-of adding any inactive edge. A group keeps its variable, its count of
-instances, an exact representative row, and (for addition scoring) the
-count of x_u = 1 within the group for every variable u. A variable never
-has more groups than there are unique rows, and a sparse structure has far
-fewer: the plants Chow-Liu tree has about 500 groups in all against about
-8000 unique rows per variable.
+of adding any inactive edge. The PLL with a set of edges zeroed and that
+bound are one sum, over the groups at logits shifted by incident weights.
+A group keeps its variable, its count of instances, an exact representative
+row, and (for addition scoring) the count of x_u = 1 within the group for
+every variable u. A variable never has more groups than there are unique
+rows, and a sparse structure has far fewer: the plants Chow-Liu tree has
+about 500 groups in all against about 8000 unique rows per variable.
 
 Groups are keyed by the variable and its blanket, and grouped by
-:func:`dataset.group_rows`, the routine that also deduplicates the rows of
-a dataset, on a column-major uint8 copy of the compressed rows: by one
-weighted count of the key codes, which also gives the group counts, for a
-key of at most log2(8 * unique rows) columns, by a stable lexsort beyond.
-So grouping is exact at any blanket size, and the group order is the
-lexicographic row order. The group values and the edge incidences are read
-at any row of the group, where the variable and its blanket agree, from the
-copy made once per dataset and kept in its cache (:meth:`DataSet.cached`).
+:func:`dataset.group_rows` on a column-major uint8 copy of the compressed
+rows: by one weighted count of the key codes, which also gives the group
+counts, for a key of at most log2(8 * unique rows) columns, by a stable
+lexsort beyond. So grouping is exact at any blanket size, and the group
+order is the lexicographic row order. (The deduplication of a dataset's
+rows shares only the word packing and that lexsort: it counts narrow rows
+in its own int32 code table.) The group values and the edge incidences are
+read at any row of the group, where the variable and its blanket agree,
+from the copy made once per dataset and kept in its cache
+(:meth:`DataSet.cached`).
 
 A variable's groups depend only on (dataset, variable, blanket), and an
 exchange of k edges changes at most 2k blankets. Tables built while the last
@@ -175,22 +178,21 @@ class BlanketTables:
         shift = np.bincount(self.inc_group, weights=edge[self.inc_edge], minlength=self.n_groups)
         return node[self.var] + shift
 
-    def _terms(self, z: np.ndarray) -> np.ndarray:
-        """Count-weighted log P(x_var | blanket) of each group."""
-        return self.count * _log_sigmoid(self.t * z)
+    def _pll_at(self, z: np.ndarray) -> float:
+        """Mean per-instance PLL at the group logits ``z``."""
+        return float((self.count * _log_sigmoid(self.t * z)).sum() / self.n_instances)
 
     def pll(self, theta: np.ndarray) -> float:
         """Mean per-instance PLL, equal to :func:`model.pll` up to rounding."""
-        return float(self._terms(self.logits(theta)).sum() / self.n_instances)
+        return self._pll_at(self.logits(theta))
 
     def pll_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """PLL and its gradient over (node ++ edge) weights, from one logit pass."""
         z = self.logits(theta)
-        f = float(self._terms(z).sum() / self.n_instances)
         resid = self.count * (self.x - _sigmoid(z))
         g_node = np.bincount(self.var, weights=resid, minlength=self.n_vars)
         g_edge = np.bincount(self.inc_edge, weights=resid[self.inc_group], minlength=len(self.edges))
-        return f, np.concatenate([g_node, g_edge]) / self.n_instances
+        return self._pll_at(z), np.concatenate([g_node, g_edge]) / self.n_instances
 
     def deletion_deltas(self, theta: np.ndarray) -> np.ndarray:
         """pll - pll with edge j's weight zeroed, for every edge j.
@@ -204,35 +206,27 @@ class BlanketTables:
         loss = self.count[g] * (_log_sigmoid(tg * zg) - _log_sigmoid(tg * (zg - edge[self.inc_edge])))
         return np.bincount(self.inc_edge, weights=loss, minlength=len(self.edges)) / self.n_instances
 
-    def subset_scorer(self, theta: np.ndarray):
-        """Function mapping edge indices to the PLL with those weights zeroed."""
+    def subset_pll(self, theta: np.ndarray, k: int):
+        """A function mapping edge indices to the PLL with those weights
+        zeroed, and an upper bound on that PLL over every k edges.
+
+        Zeroing a set S shifts group g's logit by minus the sum of S's weights
+        on g's incident edges, so both are the PLL at the logits less one
+        per-group sum of incident weights. For the bound, each group's term is
+        largest when that shift holds the (at most k) most negative incident
+        weights if x_var = 1, the most positive if x_var = 0. The sum of these
+        per-group maxima bounds every k-subset's PLL, and equals the largest
+        one when a single k-subset attains them all.
+        """
         _, edge = self._split(theta)
         z = self.logits(theta)
-        terms = self._terms(z)
-        total = terms.sum()
 
         def score(drop: np.ndarray) -> float:
             drop = np.asarray(drop, dtype=np.int64)
             sel = _ranges(self.inc_ptr[drop], self.inc_ptr[drop + 1] - self.inc_ptr[drop])
-            groups, inv = np.unique(self.inc_group[sel], return_inverse=True)
-            shift = np.bincount(inv, weights=edge[self.inc_edge[sel]], minlength=groups.size)
-            new = self.count[groups] * _log_sigmoid(self.t[groups] * (z[groups] - shift))
-            return float((total + (new - terms[groups]).sum()) / self.n_instances)
+            g, w = self.inc_group[sel], edge[self.inc_edge[sel]]
+            return self._pll_at(z - np.bincount(g, weights=w, minlength=self.n_groups))
 
-        return score
-
-    def subset_bound(self, theta: np.ndarray, k: int) -> float:
-        """An upper bound on the PLL with the weights of any k edges zeroed.
-
-        Zeroing a set S shifts group g's logit by minus the sum of S's weights
-        on g's incident edges. Each group's term is largest when that shift
-        holds the (at most k) most negative incident weights if x_var = 1,
-        the most positive if x_var = 0. The sum of these per-group maxima
-        bounds every k-subset's PLL, and equals the largest one when a single
-        k-subset attains them all.
-        """
-        _, edge = self._split(theta)
-        z = self.logits(theta)
         # incident weights by group, ascending, and each one's rank from
         # either end of its group
         order = np.lexsort((edge[self.inc_edge], self.inc_group))
@@ -240,8 +234,7 @@ class BlanketTables:
         size = np.bincount(g, minlength=self.n_groups)
         rank = np.arange(g.size) - (np.cumsum(size) - size)[g]
         keep = np.where(self.x[g] > 0, (rank < k) & (w < 0.0), (size[g] - rank <= k) & (w > 0.0))
-        shift = np.bincount(g[keep], weights=w[keep], minlength=self.n_groups)
-        return float(self._terms(z - shift).sum() / self.n_instances)
+        return score, self._pll_at(z - np.bincount(g[keep], weights=w[keep], minlength=self.n_groups))
 
     def addition_gains(self, theta: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Best PLL gain of adding each candidate edge at one free weight.

@@ -241,13 +241,14 @@ def _load_splits(args) -> dict[str, DataSet]:
     return splits
 
 
-def _cell_config(args, m: int, k: int, heuristic: str, seed: int) -> PruningConfig:
+def _config(args) -> PruningConfig:
+    """The run settings of the flags; a sweep cell replaces its grid's fields."""
     return PruningConfig(
-        extra_edges=m,
-        exchange_size=k,
-        heuristic=heuristic,
+        extra_edges=args.extra_edges,
+        exchange_size=args.exchange,
+        heuristic=args.heuristic,
         max_iter=args.max_iter,
-        seed=seed,
+        seed=args.seed,
         apt_clusters=args.apt_clusters,
         fit=FitOptions(l2_strength=args.l2),
         rejection_cap=args.rejection_cap,
@@ -306,7 +307,7 @@ def _select_apt_clusters(splits: dict[str, DataSet], config: PruningConfig
 def run_single(args) -> int:
     splits = _load_splits(args)
     name = args.name or _dataset_name(args.train)
-    config = _cell_config(args, args.extra_edges, args.exchange, args.heuristic, args.seed)
+    config = _config(args)
     if args.apt_select:
         config, result, cell = _select_apt_clusters(splits, config)
     else:
@@ -402,14 +403,16 @@ def _run_alone(splits: dict[str, DataSet], config: PruningConfig) -> CellResult:
 
 def run_sweep(args) -> int:
     ms, ks, hs = parse_sweep(args.sweep)
+    base = _config(args)
     name = args.name or _dataset_name(args.train)
     splits = _load_splits(args)  # also fails fast before launching worker processes
     for ds in splits.values():
         ds.compressed()  # once, before pool workers inherit the splits
     chow_liu_tree(splits["train"])  # likewise
 
-    configs = [_cell_config(args, m, k, h, cell_seed(args.seed, h, m, k))
-               for h, m, k in sorted(itertools.product(hs or [args.heuristic], ms, ks))]
+    configs = [replace(base, extra_edges=m, exchange_size=k, heuristic=h,
+                       seed=cell_seed(base.seed, h, m, k))
+               for h, m, k in sorted(itertools.product(hs or [base.heuristic], ms, ks))]
     report = ExperimentReport(dataset=name, config=_config_echo(args, name), splits=tuple(splits))
     jobs = min(args.jobs, len(configs))
     pool = concurrent.futures.ProcessPoolExecutor(

@@ -146,10 +146,11 @@ def rejection_sample_delete(
 
     Proposes uniform k-subsets and accepts a proposal S iff
     u <= exp(pll_S - B), where pll_S is the PLL of the model with S's weights
-    zeroed, u ~ Uniform(0, 1), and B >= every pll_S is the blanket tables'
-    :meth:`~forced_pruning.blanket.BlanketTables.subset_bound`. So the
-    accepted subsets follow the target exactly, and the tighter B is, the
-    fewer proposals an exchange takes.
+    zeroed, u ~ Uniform(0, 1), and B >= every pll_S. Both are one sum over
+    the blanket groups at shifted logits, from the tables'
+    :meth:`~forced_pruning.blanket.BlanketTables.subset_pll`. So the accepted
+    subsets follow the target exactly, and the tighter B is, the fewer
+    proposals an exchange takes.
     If ``cap`` proposals are all rejected, falls back to the greedy choice
     and flags it in the outcome.
     """
@@ -162,7 +163,7 @@ def rejection_sample_delete(
     # positions in the order of their edges, so the draws follow the edges
     order = sorted(range(len(model.edges)), key=model.edges.__getitem__)
     tables, theta = tables_for(model, ds), model.weight_vector()
-    score, bound = tables.subset_scorer(theta), tables.subset_bound(theta, k)
+    score, bound = tables.subset_pll(theta, k)
     for proposals in range(1, cap + 1):
         subset = _draw_subset(order, k, rng)
         u = rng.random()

@@ -304,8 +304,8 @@ def full_width_gains(tables, theta, candidates):
 
 
 def reference_subset_bound(model, ds, k):
-    """BlanketTables.subset_bound row by row: each (row, variable) term takes
-    its logit shifted by the (at most k) most negative weights of the
+    """The bound of BlanketTables.subset_pll row by row: each (row, variable)
+    term takes its logit shifted by the (at most k) most negative weights of the
     variable's edges to a neighbour that is 1 in the row if the variable is
     1, by the most positive ones if it is 0."""
     rows, counts = ds.compressed()

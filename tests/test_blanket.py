@@ -217,7 +217,8 @@ def check_deletions(model, ds):
     base = pll(model, ds)
     for e, d in zip(model.edges, tables.deletion_deltas(theta)):
         assert d == pytest.approx(base - pll_without_edges(model, ds, [e]), abs=RTOL)
-    score = tables.subset_scorer(theta)
+    score = tables.subset_pll(theta, 1)[0]
+    assert score([]) == tables.pll(theta)  # bit for bit: no shift, the same sum
     for size in range(1, len(model.edges) + 1):
         drop = list(range(0, len(model.edges), max(1, len(model.edges) // size)))[:size]
         expected = pll_without_edges(model, ds, [model.edges[j] for j in drop])
@@ -230,7 +231,7 @@ def check_subset_bound(model, ds):
     tables = BlanketTables(ds, model.edges)
     theta = model.weight_vector()
     for k in range(1, len(model.edges) + 1):
-        bound = tables.subset_bound(theta, k)
+        bound = tables.subset_pll(theta, k)[1]
         assert bound == pytest.approx(reference_subset_bound(model, ds, k), rel=RTOL)
         best = max(pll_without_edges(model, ds, s) for s in combinations(model.edges, k))
         assert best <= bound + RTOL

@@ -28,7 +28,7 @@ from forced_pruning import (
     pll,
     save_model,
 )
-from forced_pruning.cli import _cell_config, build_parser, main, parse_sweep
+from forced_pruning.cli import CellResult, ExperimentReport, _config, build_parser, main, parse_sweep
 
 from conftest import random_model, write_data_file
 
@@ -116,6 +116,10 @@ class TestModelFile:
          re.escape("cluster ids must lie in [0, n_clusters)")),
         ("n_vars 2\nnodes 0 0\nedges 1\n0 1 0.5\ntying 2\nassignment 0 0 1\nmeans 0.5\n", 8,
          re.escape("means must have shape (2,)")),
+        ("n_vars 3\nweights 0 0 0\nedges 0\n", 3,
+         re.escape("expected 'node weights' line starting with 'nodes'")),
+        ("n_vars 3\nnodes 0 0 0\nedges 1\n0 1\n", 5,
+         re.escape("expected 'lo hi weight', got 2 fields")),
     ])
     def test_bad_line_is_named_where_it_is_read(self, tmp_path, body, line, message):
         path = tmp_path / "m.txt"
@@ -170,6 +174,7 @@ class TestModelFile:
 class TestParseSweep:
     def test_basic_grid(self):
         assert parse_sweep("m=0,15,30;k=0,5,10") == ([0, 15, 30], [0, 5, 10], None)
+        assert parse_sweep("m=0;;k=1") == ([0], [1], None)  # an empty component is skipped
 
     def test_heuristic_component(self):
         ms, ks, hs = parse_sweep("m=0;k=1;h=greedy,rejection")
@@ -196,10 +201,18 @@ class TestParseSweep:
             parse_sweep(bad)
 
 
+def test_report_table_marks_a_missing_cell():
+    cells = [CellResult.of(PruningConfig(heuristic=h, exchange_size=k), {"train": 1.5}, 0.0)
+             for h, k in (("greedy", 1), ("rejection", 2))]
+    table = ExperimentReport("toy", {}, ("train",), cells).table_text("train")
+    assert [row.split() for row in table.splitlines()[-2:]] == [
+        ["greedy", "|", "1.5000", "-"], ["rejection", "|", "-", "1.5000"]]
+
+
 def test_parser_defaults_are_the_config_defaults():
     # PruningConfig equality covers every run setting, FitOptions included
     args = build_parser().parse_args(["--train", "x"])
-    config = _cell_config(args, args.extra_edges, args.exchange, args.heuristic, args.seed)
+    config = _config(args)
     assert config == PruningConfig(fit=FitOptions())
 
 
@@ -353,6 +366,18 @@ class TestExitCodes:
 
     def test_bad_sweep_spec(self, data_file):
         assert main(["--train", data_file, "--sweep", "m=0"]) == 1
+
+    def test_jobs_must_be_positive(self, data_file, capsys):
+        assert main(["--train", data_file, "--sweep", "m=0;k=0", "--jobs", "0"]) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("mode", [[], ["--sweep", "m=0;k=0"]], ids=["single", "sweep"])
+    def test_seed_outside_64_bits(self, data_file, tmp_path, capsys, mode, seed):
+        # a sweep checks its base seed as a single run does, before any cell seed derives from it
+        argv = ["--train", data_file, "--seed", seed, "--out-dir", str(tmp_path / "o"), *mode]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: seed must fit in 64 unsigned bits"
 
     def test_bad_dataset_token(self, tmp_path):
         p = tmp_path / "bad.data"

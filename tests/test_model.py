@@ -1,6 +1,7 @@
 """Model construction, conditional logits, PLL, gradient, and edge-drop deltas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ class TestPairwiseModel:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             PairwiseModel(2, np.zeros(2), (Edge(0, 1),), np.zeros(2))
+        with pytest.raises(ValueError, match=re.escape("node_weights must have shape (2,), got (3,)")):
+            PairwiseModel(2, np.zeros(3), (Edge(0, 1),), np.zeros(1))
+        with pytest.raises(ValueError, match="expected 3 weights"):
+            PairwiseModel.zeros(2, [Edge(0, 1)]).with_weights(np.zeros(2))
+
+    def test_rejects_no_variables(self):
+        with pytest.raises(ValueError, match="n_vars must be positive"):
+            PairwiseModel(0, np.zeros(0), (), np.zeros(0))
 
     def test_with_weights_round_trip(self, rng):
         m = random_model(rng, 4, 3)

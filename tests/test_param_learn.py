@@ -68,6 +68,10 @@ class TestFitOptions:
         with pytest.raises(ValueError):
             FitOptions(gradient_tolerance=0.0)
 
+    def test_rejects_no_optimizer_steps(self):
+        with pytest.raises(ValueError, match="max_optimizer_steps must be >= 1"):
+            FitOptions(max_optimizer_steps=0)
+
 
 class TestTyingPartition:
     def test_expand(self):
@@ -86,6 +90,10 @@ class TestTyingPartition:
     def test_rejects_out_of_range_id(self):
         with pytest.raises(ValueError):
             TyingPartition(np.array([0, 2]), np.array([1.0, 2.0]), 2)
+
+    def test_rejects_empty_assignment(self):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            TyingPartition(np.array([], dtype=np.int64), np.zeros(0), 0)
 
     def test_tying_objective_by_hand(self):
         p = TyingPartition(np.array([0, 0, 1]), np.array([1.0, 5.0]), 2)
@@ -125,6 +133,10 @@ class TestQuantizeParams:
             quantize_params(np.zeros(3), 0)
         with pytest.raises(ValueError):
             quantize_params(np.zeros(3), 4)
+
+    def test_rejects_empty_params(self):
+        with pytest.raises(ValueError, match="params must be non-empty"):
+            quantize_params(np.zeros(0), 1)
 
     def test_ties_prefer_earliest_split(self):
         # both 2-splits of [0, 1, 2] cost 0.5; the earlier one wins
@@ -217,6 +229,36 @@ class TestMinimize:
             assert [(r.name, r.levelno) for r in caplog.records] == [
                 ("forced_pruning.param_learn", logging.WARNING)]
             assert f"{what} stopped" in caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize("fun_grad, message", [
+        (lambda x: (float(x @ x), np.full_like(x, np.nan)), "no descent direction"),
+        # the negated gradient points up the linear function
+        (lambda x: (float(x.sum()), -np.ones_like(x)), "line search found no step"),
+    ], ids=["nan-gradient", "rising"])
+    def test_stops_where_no_step_descends(self, fun_grad, message):
+        res = minimize(fun_grad, np.ones(3), max_iter=100, gtol=1e-9, max_evals=1000)
+        assert res.message == message
+        np.testing.assert_array_equal(res.x, np.ones(3))
+
+    @pytest.mark.parametrize("pll_and_gradient, message", [
+        (lambda self, theta: (0.0, np.full_like(theta, np.nan)), "no descent direction"),
+        # at the default l2 of 0.1 the objective is 0.1 * ||x||^2 and this
+        # gradient is the negation of its own, so every step rises
+        (lambda self, theta: (0.0, 0.4 * theta), "line search found no step"),
+    ], ids=["nan-gradient", "rising"])
+    def test_warning_names_the_stop(self, rng, monkeypatch, caplog, pll_and_gradient, message):
+        ds = random_dataset(rng, 4, 60)
+        model = random_model(rng, 4, 3)
+        partition = quantize_params(model.weight_vector(), 2)
+        monkeypatch.setattr(BlanketTables, "pll_and_gradient", pll_and_gradient)
+        for fit, what in ((lambda: mple_fit(model, ds), "MPLE fit"),
+                          (lambda: tied_fit(model, ds, partition), "tied fit")):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="forced_pruning.param_learn"):
+                fit()
+            [record] = caplog.records
+            assert record.getMessage().startswith(f"{what} stopped")
+            assert record.getMessage().endswith(f"({message})")
 
 
 class TestMpleFit:

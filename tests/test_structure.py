@@ -263,6 +263,10 @@ class TestGreedyAdd:
         with pytest.raises(ValueError):
             greedy_add(model, random_dataset(rng, 3, 10), [Edge(0, 2)], 2)
 
+    def test_k_zero_is_empty(self, rng):
+        model = random_model(rng, 3, 1)
+        assert greedy_add(model, random_dataset(rng, 3, 10), [Edge(0, 2)], 0) == []
+
 
 class TestForcedPruning:
     def test_budget_and_partition_invariants(self, rng):
@@ -383,6 +387,12 @@ class TestForcedPruning:
         # V=3: complete graph has 3 edges, tree 2, pool 1 -> k=2 impossible
         with pytest.raises(ValueError, match="exchange_size"):
             forced_pruning(ds, PruningConfig(extra_edges=0, exchange_size=2, max_iter=1))
+
+    def test_validates_exchange_against_budget(self, rng):
+        ds = random_dataset(rng, 5, 10)
+        # V=5: the tree is the whole budget of 4 edges, 6 stay inactive
+        with pytest.raises(ValueError, match="^exchange_size 5 exceeds the edge budget 4$"):
+            forced_pruning(ds, PruningConfig(extra_edges=0, exchange_size=5, max_iter=1))
 
 
 @st.composite
@@ -648,3 +658,5 @@ class TestPruningConfig:
             PruningConfig(max_iter=0)
         with pytest.raises(ValueError):
             PruningConfig(rejection_cap=0)
+        with pytest.raises(ValueError, match="apt_clusters must be >= 1"):
+            PruningConfig(apt_clusters=0)
