@@ -27,15 +27,15 @@ from the copy made once per dataset and kept in its cache
 (:meth:`DataSet.cached`).
 
 A variable's groups depend only on (dataset, variable, blanket), and an
-exchange of k edges changes at most 2k blankets. Tables built while the last
-tables of the same dataset are still held (the weak slot of
-:func:`tables_for`, kept here per dataset, so a pickled or copied dataset
-never carries it) take each unchanged variable's representative rows,
-counts, row-to-group map and, if computed there, ``ones`` rows from them,
-and regroup only the other variables. They keep those arrays, never the
-older tables, so no chain of tables stays alive.
+exchange of k edges changes at most 2k blankets. So a store per dataset,
+kept here and keyed weakly by it (a pickled or copied dataset never carries
+it), holds a read-only block per blanket ``(v, *neighbours)``: its group
+rows, counts and row-to-group map, which only ``ones`` reads and which the
+block's ``ones`` rows replace once computed. A build groups only the
+blankets the store lacks. The store keeps the 2 * V blankets used last, so
+an undone exchange or a repeated run over two structures regroups nothing.
 
-``ones`` is one weighted ``np.bincount`` per regrouped variable over the
+``ones`` is one weighted ``np.bincount`` per block without rows over the
 nonzero (row, u) pairs of the compressed rows, each binned at (group of the
 row, u). The pairs depend on the dataset alone: they are found in row-major
 order when ``ones`` is first needed, and kept in the dataset's cache under
@@ -48,11 +48,12 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import DataSet, group_rows
+from .dataset import DataSet, _read_only, group_rows
 from .model import _check_dims, _log_sigmoid, _sigmoid
 
 ADD_WEIGHT_BOUND = 30.0
@@ -61,6 +62,11 @@ _NEWTON_TOL = 1e-13
 
 # tables_for's slot: each dataset's last tables, both held weakly
 _last_tables = weakref.WeakKeyDictionary()
+# each dataset's blocks by blanket, least recently used first, at most those of
+# _STORED_TABLES tables: the current and the previous ones, all that an
+# exchange undone in the next iteration reads again
+_store = weakref.WeakKeyDictionary()
+_STORED_TABLES = 2
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -108,27 +114,23 @@ class BlanketTables:
         for lo, hi in self.edges:
             neighbours[lo].append(hi)
             neighbours[hi].append(lo)
-        self._keys = [(v, *sorted(nb)) for v, nb in enumerate(neighbours)]
-        # the last tables of ds, while a caller holds them: their blocks of
-        # every unchanged blanket carry over (see the module docstring)
-        prev = _last_tables.get(ds, lambda: None)()
-        prev_ones = None if prev is None else prev.__dict__.get("ones")
-        blocks, self._carried_ones = [], {}
-        for v, key in enumerate(self._keys):
-            if prev is not None and prev._keys[v] == key:
-                lo, hi = prev.start[v], prev.start[v + 1]
-                blocks.append((prev.rep[lo:hi], prev._inverse[v], prev.count[lo:hi]))
-                if prev_ones is not None:
-                    self._carried_ones[v] = prev_ones[lo:hi]
-            else:
-                blocks.append(group_rows(columns, key, weights))
-        # per variable: a row of each group, the group of each compressed row, the group counts
-        reps, self._inverse, counts = zip(*blocks)
-        sizes = [rep.size for rep in reps]
+        store = _store.setdefault(ds, {})
+        self._blocks = []
+        for v, nb in enumerate(neighbours):
+            key = (v, *sorted(nb))
+            block = store.pop(key, None)  # put back last, as the most recently used
+            if block is None:
+                rep, inverse, count = _read_only(group_rows(columns, key, weights))
+                block = SimpleNamespace(rep=rep, count=count, inverse=inverse, ones=None)
+            store[key] = block
+            self._blocks.append(block)
+        while len(store) > _STORED_TABLES * V:
+            del store[next(iter(store))]
+        sizes = [b.count.size for b in self._blocks]
         self.start = np.concatenate([[0], np.cumsum(sizes)])
         self.var = np.repeat(np.arange(V), sizes)
-        self.rep = np.concatenate(reps)
-        self.count = np.concatenate(counts)
+        self.rep = np.concatenate([b.rep for b in self._blocks])
+        self.count = np.concatenate([b.count for b in self._blocks])
         self.x = columns[self.var, self.rep]
         self.t = 2.0 * self.x - 1.0
 
@@ -151,18 +153,16 @@ class BlanketTables:
     def ones(self) -> np.ndarray:
         """(n_groups, n_vars) weighted count of x_u = 1 within each group."""
         V = self.n_vars
-        out = np.empty((self.n_groups, V))
-        carried, self._carried_ones = self._carried_ones, {}
         r, u, w = self._ds.cached("nonzero", _nonzero)
-        for v, inv in enumerate(self._inverse):
-            lo, hi = self.start[v], self.start[v + 1]
-            if v in carried:
-                out[lo:hi] = carried[v]
-            else:
+        for b in self._blocks:
+            if b.ones is None:
                 # one weighted count per nonzero (row, u), binned at (group of row, u)
-                cell = (inv.astype(np.intp) * V)[r] + u
-                out[lo:hi] = np.bincount(cell, weights=w, minlength=(hi - lo) * V).reshape(-1, V)
-        return out
+                cell = (b.inverse.astype(np.intp) * V)[r] + u
+                b.ones = _read_only(
+                    np.bincount(cell, weights=w, minlength=b.count.size * V).reshape(-1, V))
+                b.inverse = None
+        # float64 even when a dataset has no nonzero entry: then bincount gives int64
+        return np.concatenate([b.ones for b in self._blocks], dtype=np.float64)
 
     def _split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = np.asarray(theta, dtype=np.float64)
@@ -301,7 +301,8 @@ class BlanketTables:
 
 def tables_for(model, ds: DataSet) -> BlanketTables:
     """The blanket tables of ``ds`` under the model's edge set, reused while a
-    caller holds them: a weak slot per dataset remembers the last ones built."""
+    caller holds them: a weak slot per dataset remembers the last ones built.
+    A new build takes its blocks from the dataset's store of blankets."""
     _check_dims(model, ds)
     tables = _last_tables.get(ds, lambda: None)()
     if tables is None or tables.edges != model.edges:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import csv
 import io
 import itertools
@@ -393,12 +392,27 @@ def _run_pool_cell(config: PruningConfig) -> CellResult:
     return _run_cell(_pool_splits, config)[1]
 
 
-def _run_alone(splits: dict[str, DataSet], config: PruningConfig) -> CellResult:
-    """A cell run in a fresh one-worker pool, as a cell lost with a pool whose
-    worker died reruns: it fails then only if its own worker dies."""
+def _finished(config: PruningConfig, result) -> CellResult:
+    """The cell that ``result()`` returns, or a failed cell if it raises; logged."""
+    try:
+        cell = result()
+    except Exception as exc:
+        cell = CellResult.of(config, {}, 0.0, error=str(exc))
+        logger.error("cell %s m=%d k=%d failed: %s", cell.heuristic, cell.m, cell.k, exc)
+    else:
+        logger.info("cell %s m=%d k=%d done in %.1fs", cell.heuristic, cell.m, cell.k, cell.seconds)
+    return cell
+
+
+def _pool_cells(splits: dict[str, DataSet], configs: list, width: int, rerun=True) -> list:
+    """The cells of ``configs`` from one fresh pool of ``width`` workers, every
+    cell submitted before the first is awaited. With ``rerun``, a cell lost
+    with a worker that died, maybe its own, is None."""
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, initializer=_init_pool_worker, initargs=(splits,)) as pool:
-        return pool.submit(_run_pool_cell, config).result()
+            max_workers=width, initializer=_init_pool_worker, initargs=(splits,)) as pool:
+        futures = [pool.submit(_run_pool_cell, c) for c in configs]
+        return [None if rerun and isinstance(f.exception(), concurrent.futures.BrokenExecutor)
+                else _finished(c, f.result) for c, f in zip(configs, futures)]
 
 
 def run_sweep(args) -> int:
@@ -413,27 +427,17 @@ def run_sweep(args) -> int:
     configs = [replace(base, extra_edges=m, exchange_size=k, heuristic=h,
                        seed=cell_seed(base.seed, h, m, k))
                for h, m, k in sorted(itertools.product(hs or [base.heuristic], ms, ks))]
-    report = ExperimentReport(dataset=name, config=_config_echo(args, name), splits=tuple(splits))
     jobs = min(args.jobs, len(configs))
-    pool = concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_pool_worker, initargs=(splits,)) if jobs >= 2 else None
-    with pool or contextlib.nullcontext():
-        # every cell is submitted before the first is awaited
-        runs = ([pool.submit(_run_pool_cell, c).result for c in configs] if pool else
-                [lambda c=c: _run_cell(splits, c)[1] for c in configs])
-        for config, run in zip(configs, runs):
-            try:
-                try:
-                    cell = run()
-                except concurrent.futures.BrokenExecutor:  # a worker died, maybe this cell's
-                    cell = _run_alone(splits, config)
-            except Exception as exc:
-                cell = CellResult.of(config, {}, 0.0, error=str(exc))
-                logger.error("cell %s m=%d k=%d failed: %s", cell.heuristic, cell.m, cell.k, exc)
-            else:
-                logger.info("cell %s m=%d k=%d done in %.1fs", cell.heuristic, cell.m, cell.k,
-                            cell.seconds)
-            report.cells.append(cell)
+    if jobs < 2:
+        cells = [_finished(c, lambda c=c: _run_cell(splits, c)[1]) for c in configs]
+    else:
+        cells = _pool_cells(splits, configs, jobs)
+        # lost cells rerun together, then alone if lost again: only a dead worker's own cell fails
+        lost = [i for i, cell in enumerate(cells) if cell is None]
+        if lost:
+            for i, cell in zip(lost, _pool_cells(splits, [configs[i] for i in lost], jobs)):
+                cells[i] = cell or _pool_cells(splits, [configs[i]], 1, rerun=False)[0]
+    report = ExperimentReport(name, _config_echo(args, name), tuple(splits), cells)
 
     print(_write_report(args.out_dir, report), end="")
 

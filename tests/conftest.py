@@ -204,6 +204,12 @@ def quantize_reference(params, c):
     return assignment, means
 
 
+def blanket_keys(n_vars, edges):
+    """The blanket store's key of each variable under ``edges``: the
+    variable, then its sorted neighbours."""
+    return [(v, *sorted(u for e in edges if v in e for u in e if u != v)) for v in range(n_vars)]
+
+
 def void_key_tables(ds, edges):
     """Blanket group arrays by void-key grouping and a loop over edges, and
     the ``ones`` counts by unbuffered per-row addition."""

@@ -111,7 +111,7 @@ def test_table_sharing_functions_have_pinned_parameters():
 
 
 def test_blanket_tables_constructor_is_pinned():
-    # the tables carry over from the last ones built for the dataset on
+    # the tables take their blocks from the dataset's blanket store on
     # their own; no argument or option turns that on or off
     from forced_pruning.blanket import BlanketTables
 

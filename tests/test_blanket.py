@@ -1,11 +1,11 @@
 """Markov-blanket tables against the row-based reference evaluators, and the
 code-bucket and integer-keyed grouping (on both sides of the key width where
 one gives way to the other), the ``ones`` counts summed over the nonzeros,
-the compacted Newton search and the tables carried across an exchange
-against their slow exact references (void-key grouping, per-row addition,
-the full-width Newton loop, a build with nothing to carry), byte for byte,
-but for the representative rows: any row of a group may represent it, so
-those are checked by group membership.
+the compacted Newton search and the tables built from a dataset's store of
+blanket blocks against their slow exact references (void-key grouping,
+per-row addition, the full-width Newton loop, a build on a copy of the
+dataset with no store), byte for byte, but for the representative rows: any
+row of a group may represent it, so those are checked by group membership.
 The rejection envelope is checked against its row-by-row reference and
 above every enumerated subset's PLL.
 
@@ -41,7 +41,8 @@ from forced_pruning import (
 from forced_pruning import blanket
 from forced_pruning.blanket import BlanketTables, tables_for
 
-from conftest import full_width_gains, random_dataset, reference_subset_bound, void_key_tables
+from conftest import (blanket_keys, full_width_gains, random_dataset, reference_subset_bound,
+                      void_key_tables)
 
 RTOL = 1e-12
 GAIN_ATOL = 1e-9
@@ -106,10 +107,12 @@ def keys_at_the_fork(draw, ratio):
 
 @st.composite
 def exchange_sequences(draw):
-    """Rows, a first edge set and 2-5 exchanges of k random active edges for
-    k random inactive ones. Half the cases have a hub whose blanket key
-    starts at 63, 64 or 65 columns and moves across those widths as hub
-    edges are swapped out and in."""
+    """Rows, a first edge set and 2-6 steps, each an exchange of k random
+    active edges for k random inactive ones or the undoing of an earlier
+    exchange that still applies (the last one's undoing returns to the
+    structure before it). Half the cases have a hub whose blanket key starts
+    at 63, 64 or 65 columns and moves across those widths as hub edges are
+    swapped out and in."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
@@ -123,29 +126,49 @@ def exchange_sequences(draw):
         edges = {pool[i] for i in rng.choice(len(pool), rng.integers(1, len(pool)), replace=False)}
     patterns = rng.random((draw(st.integers(1, 12)), n_vars)) < 0.5
     X = patterns[rng.integers(patterns.shape[0], size=draw(st.integers(1, 60)))]
-    structures = [tuple(sorted(edges))]
-    for _ in range(draw(st.integers(2, 5))):
-        active, inactive = sorted(edges), sorted(set(complete_edges(n_vars)) - edges)
-        k = int(rng.integers(1, min(3, len(active), len(inactive)) + 1))
-        edges = (edges - {active[i] for i in rng.choice(len(active), k, replace=False)}
-                 | {inactive[i] for i in rng.choice(len(inactive), k, replace=False)})
+    structures, exchanges = [tuple(sorted(edges))], []
+    for _ in range(draw(st.integers(2, 6))):
+        undoable = [(added, deleted) for deleted, added in exchanges
+                    if added <= edges and not deleted & edges]
+        if undoable and draw(st.booleans()):
+            deleted, added = undoable[draw(st.integers(0, len(undoable) - 1))]
+        else:
+            active, inactive = sorted(edges), sorted(set(complete_edges(n_vars)) - edges)
+            k = int(rng.integers(1, min(3, len(active), len(inactive)) + 1))
+            deleted = {active[i] for i in rng.choice(len(active), k, replace=False)}
+            added = {inactive[i] for i in rng.choice(len(inactive), k, replace=False)}
+        edges = edges - deleted | added
+        exchanges.append((deleted, added))
         structures.append(tuple(sorted(edges)))
     return DataSet(X.astype(np.float64)), structures, draw(st.booleans())
 
 
+def without_store(ds):
+    """An unpickled copy of ``ds``: its cached arrays, but no blanket store."""
+    clone = pickle.loads(pickle.dumps(ds))
+    assert clone not in blanket._store
+    return clone
+
+
 def table_arrays(tables, names):
-    """The named arrays of ``tables``; "inverse" is the per-variable list."""
-    return {n: getattr(tables, "_inverse" if n == "inverse" else n) for n in names}
+    """The named arrays of ``tables``; "inverse" lists each block's
+    row-to-group map, None where the block's ``ones`` rows replaced it."""
+    return {n: [b.inverse for b in tables._blocks] if n == "inverse" else getattr(tables, n)
+            for n in names}
 
 
 def assert_same_bytes(got, want):
     """The arrays of ``got`` equal those of ``want`` byte for byte, but for
     ``rep``: any row of a group represents it, so each of its entries need
-    only be a row of the same group under ``want``'s ``inverse``."""
+    only be a row of the same group under ``want``'s ``inverse``. A map
+    ``got`` no longer holds is checked through the ``ones`` rows that
+    replaced it."""
     for name, w in want.items():
         g = got[name]
         if name == "inverse":
-            assert [(a.dtype, a.tobytes()) for a in g] == [(a.dtype, a.tobytes()) for a in w]
+            assert len(g) == len(w)
+            assert all(a is None or (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+                       for a, b in zip(g, w))
         elif name == "rep":
             assert g.dtype == w.dtype and g.shape == w.shape
             start = want["start"]
@@ -157,9 +180,12 @@ def assert_same_bytes(got, want):
 
 
 def check_against_void_keys(model, ds):
-    tables = BlanketTables(ds, model.edges)
+    # built with no store, so every block still holds its row-to-group map
+    tables = BlanketTables(without_store(ds), model.edges)
     ref = void_key_tables(ds, model.edges)
-    assert_same_bytes(table_arrays(tables, ref), ref)
+    got = table_arrays(tables, ref)
+    assert all(inv is not None for inv in got["inverse"])
+    assert_same_bytes(got, ref)
     return tables
 
 
@@ -171,22 +197,20 @@ def check_gains_against_full_width(model, ds, tables):
 
 
 def check_exchanges(shared, structures):
-    """Tables for each structure in turn, built while the last ones are held,
-    against a build on an unpickled copy (no slot) and the void-key
-    reference, byte for byte (``rep`` by group membership). Each
-    predecessor's ``ones`` is computed only after its successor was built,
-    so nothing of ``ones`` carries over."""
-    clone = pickle.loads(pickle.dumps(shared))
+    """Tables for each structure in turn, built from the store of ``shared``,
+    against a build on a copy with no store and the void-key reference, byte
+    for byte (``rep`` by group membership). Each predecessor's ``ones`` is
+    computed only after its successor was built, so a successor finds no
+    ``ones`` rows but those of blankets it revisits."""
     names = GROUP_ARRAYS + ("ones",)
     held = None
     for edges in structures:
         tables = tables_for(PairwiseModel.zeros(shared.n_vars, edges), shared)
         if held is not None:
             assert_same_bytes(table_arrays(held[0], names), held[1])
-        fresh = BlanketTables(clone, edges)
-        ref = void_key_tables(shared, edges)
-        assert_same_bytes(table_arrays(fresh, names), ref)
-        held = tables, table_arrays(fresh, names)
+        fresh = table_arrays(BlanketTables(without_store(shared), edges), names)
+        assert_same_bytes(fresh, void_key_tables(shared, edges))
+        held = tables, fresh
     assert_same_bytes(table_arrays(held[0], names), held[1])
 
 
@@ -330,28 +354,35 @@ GROUP_ARRAYS = ("start", "var", "rep", "count", "x", "t", "inc_ptr", "inc_group"
                 "inverse")
 
 
-class TestCarryOver:
-    """Tables built while the last ones for the dataset are held take the
-    blocks of every unchanged blanket from them; the result must equal a
-    build on an unpickled copy of the dataset, which has no slot."""
+class TestBlanketStore:
+    """A build takes each blanket's block from the dataset's store and groups
+    only the blankets that are not among the last 2 * V used; the result
+    must equal a build on an unpickled copy of the dataset, which has no
+    store."""
 
     @settings(max_examples=40, deadline=None)
     @given(exchange_sequences())
-    def test_carried_tables_equal_a_fresh_build(self, case):
+    def test_stored_tables_equal_a_fresh_build(self, case):
         shared, structures, ones_first = case
-        clone = pickle.loads(pickle.dumps(shared))
-        pending = None  # tables whose ones are checked only after they were carried from
+        V = shared.n_vars
+        recent = []  # the blankets used last, least recently first
+        pending = None  # tables whose ones are checked only after their successor was built
         for i, edges in enumerate(structures):
-            tables = tables_for(PairwiseModel.zeros(shared.n_vars, edges), shared)
-            assert clone not in blanket._last_tables
-            fresh = BlanketTables(clone, edges)
+            keys = blanket_keys(V, edges)
+            with mock.patch.object(blanket, "group_rows", wraps=blanket.group_rows) as grouping:
+                tables = BlanketTables(shared, edges)
+            assert [c.args[1] for c in grouping.call_args_list] == [
+                key for key in keys if key not in recent]
+            recent = ([key for key in recent if key not in keys] + keys)[-2 * V:]
+            assert list(blanket._store[shared]) == recent
+            fresh = BlanketTables(without_store(shared), edges)
             ref = void_key_tables(shared, edges)
             assert_same_bytes(table_arrays(tables, GROUP_ARRAYS), table_arrays(fresh, GROUP_ARRAYS))
             assert_same_bytes(table_arrays(tables, GROUP_ARRAYS),
                               {n: a for n, a in ref.items() if n != "ones"})
             if pending is not None:
                 assert_same_bytes({"ones": pending[0].ones}, pending[1])
-            # alternate: the successor carries computed ones or builds its own
+            # alternate: the successor finds computed ones rows or counts its own
             if (i % 2 == 0) == ones_first:
                 assert_same_bytes({"ones": tables.ones}, {"ones": fresh.ones})
                 assert_same_bytes({"ones": tables.ones}, {"ones": ref["ones"]})
@@ -360,6 +391,53 @@ class TestCarryOver:
                 pending = tables, {"ones": ref["ones"]}
         if pending is not None:
             assert_same_bytes({"ones": pending[0].ones}, pending[1])
+
+    @pytest.mark.parametrize("b_ones", [False, True])
+    def test_a_two_cycle_regroups_and_counts_nothing(self, rng, b_ones):
+        # A, B = A after one exchange, then A again
+        ds = random_dataset(rng, 8, 120)
+        pool = complete_edges(8)
+        a = sorted(pool[i] for i in rng.choice(len(pool), 10, replace=False))
+        inactive = sorted(set(pool) - set(a))
+        b = sorted(set(a[2:]) | {inactive[0], inactive[5]})
+        first = BlanketTables(ds, a)
+        first.ones
+        second = BlanketTables(ds, b)
+        if b_ones:
+            second.ones
+        with mock.patch.object(blanket, "group_rows") as grouping:
+            third = BlanketTables(ds, a)
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as counting:
+            third.ones
+        assert grouping.call_count == 0 and counting.call_count == 0
+        for block in blanket._store[ds].values():
+            assert not any(a.flags.writeable for a in vars(block).values() if a is not None)
+        names = GROUP_ARRAYS + ("ones",)
+        fresh = table_arrays(BlanketTables(without_store(ds), a), names)
+        assert_same_bytes(table_arrays(third, names), fresh)
+        assert_same_bytes(table_arrays(first, names), fresh)
+
+    def test_the_store_evicts_the_least_recently_used(self, rng):
+        # a chain of 4 variables plus one chord, then another: each step
+        # groups 2 new blankets, and the third chord overflows the 2 * V = 8
+        # kept, evicting the first chord's two, so returning to it regroups them
+        ds = random_dataset(rng, 4, 40)
+        chain = [Edge(0, 1), Edge(1, 2), Edge(2, 3)]
+        steps = [
+            (chain, [(0, 1), (1, 0, 2), (2, 1, 3), (3, 2)]),
+            (chain + [Edge(0, 2)], [(0, 1, 2), (2, 0, 1, 3)]),
+            (chain + [Edge(0, 3)], [(0, 1, 3), (3, 0, 2)]),
+            (chain + [Edge(1, 3)], [(1, 0, 2, 3), (3, 1, 2)]),
+            (chain + [Edge(0, 2)], [(0, 1, 2), (2, 0, 1, 3)]),
+        ]
+        for i, (edges, grouped) in enumerate(steps):
+            with mock.patch.object(blanket, "group_rows", wraps=blanket.group_rows) as grouping:
+                BlanketTables(ds, sorted(edges))
+            assert [c.args[1] for c in grouping.call_args_list] == grouped
+            assert len(blanket._store[ds]) == min(4 + 2 * i, 8)
+            if i == 3:
+                assert list(blanket._store[ds]) == [
+                    (3, 2), (0, 1, 3), (1, 0, 2), (3, 0, 2), (0, 1), (1, 0, 2, 3), (2, 1, 3), (3, 1, 2)]
 
 
 class TestSpecialCases:

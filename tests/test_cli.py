@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -459,13 +460,45 @@ class TestRunSweep:
     def test_dead_worker_fails_the_cells_it_lost(self, data_file, tmp_path, monkeypatch):
         import forced_pruning.cli as cli_mod
         owner, real = os.getpid(), cli_mod.forced_pruning
+        died = tmp_path / "died"
+
+        def wait_for(condition):
+            for _ in range(3000):
+                if condition():
+                    return
+                time.sleep(0.01)
 
         def dies_in_worker(ds, config):
-            if config.extra_edges == 1 and os.getpid() != owner:
+            m = config.extra_edges
+            if os.getpid() != owner and m == 1:
+                # at once in the first pool, losing the cells still pending
+                # there; in later pools only once the other cells are done
+                if died.exists():
+                    wait_for(lambda: all((tmp_path / f"done{j}").exists() for j in (0, 2, 3)))
+                    time.sleep(0.2)
+                died.touch()
                 os._exit(1)
-            return real(ds, config)
+            if os.getpid() != owner and m > 1 and not died.exists():
+                wait_for(died.exists)
+                time.sleep(30)  # killed with the first pool
+            result = real(ds, config)
+            (tmp_path / f"done{m}").touch()
+            return result
+
+        pools = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                super().__init__(max_workers, **kwargs)
+                self.cells = []
+                pools.append((max_workers, self.cells))
+
+            def submit(self, fn, config):
+                self.cells.append(config.extra_edges)
+                return super().submit(fn, config)
 
         monkeypatch.setattr(cli_mod, "forced_pruning", dies_in_worker)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
         out = tmp_path / "out"
         assert main(["--train", data_file, "--sweep", "m=0,1,2,3;k=0", "--max-iter", "1",
                      "--jobs", "2", "--out-dir", str(out)]) == 0
@@ -474,8 +507,14 @@ class TestRunSweep:
         assert rows.keys() == status.keys() == {"0", "1", "2", "3"}
         assert rows.pop("1") == "nan"
         assert "terminated abruptly" in status.pop("1")
-        # every other cell finished before the pool broke or reran alone after
+        # every other cell finished before the pool broke or reran after
         assert set(status.values()) == {"ok"} and all(float(v) > 0 for v in rows.values())
+        # the lost cells rerun together in one fresh --jobs-wide pool, and
+        # only the cell whose own worker died there again reruns alone
+        first, rerun, *alone = pools
+        assert first == (2, [0, 1, 2, 3])
+        assert rerun[0] == 2 and {1, 2, 3} <= set(rerun[1]) <= {0, 1, 2, 3}
+        assert alone == [(1, [1])]
 
     def test_parallel_jobs_match_sequential(self, data_file, tmp_path):
         args = [

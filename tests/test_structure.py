@@ -6,6 +6,7 @@ import gc
 import pickle
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from forced_pruning import blanket, structure
 from forced_pruning.blanket import BlanketTables, tables_for
 
 from conftest import (
+    blanket_keys,
     make_dataset,
     planted_model,
     planted_score,
@@ -525,7 +527,7 @@ class TestSharedTables:
             gc.enable()
 
     def test_no_chain_of_tables_stays_alive(self, rng, builds, monkeypatch):
-        # carried tables hold array blocks only, never their predecessor
+        # tables hold blocks of arrays only, never their predecessor
         alive = []
         fit = structure.learn_params_with_apt
 
@@ -545,7 +547,7 @@ class TestSharedTables:
     def test_the_slot_keeps_no_dataset_alive(self, rng):
         ds = random_dataset(rng, 5, 60)
         forced_pruning(ds, PruningConfig(extra_edges=2, exchange_size=2, max_iter=3))
-        assert ds in blanket._last_tables
+        assert ds in blanket._last_tables and ds in blanket._store
         gone = weakref.ref(ds)
         del ds
         gc.collect()
@@ -562,12 +564,12 @@ class TestSharedTables:
         for a, b in zip(got, kept, strict=True):
             assert not a.flags.writeable
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        # the live slot is blanket's, keyed by the dataset: neither a pickle
-        # nor a deep copy carries it
+        # the live slot and the store are blanket's, keyed by the dataset:
+        # neither a pickle nor a deep copy carries them
         held = tables_for(result.model, ds)
-        assert blanket._last_tables[ds]() is held
+        assert blanket._last_tables[ds]() is held and blanket._store[ds]
         for copied in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
-            assert copied not in blanket._last_tables
+            assert copied not in blanket._last_tables and copied not in blanket._store
             assert sorted(copied._cache) == sorted(ds._cache)
             assert not any(a.flags.writeable for a in (copied.X, *copied.compressed()))
         again = forced_pruning(clone, cfg)
@@ -610,29 +612,52 @@ def groupings(monkeypatch, builds):
     return made
 
 
-def _neighbours(edges, v):
-    return {u for e in edges if v in e for u in e if u != v}
+def _result_bytes(result):
+    """A pickle of ``result`` with its iterations' wall times zeroed."""
+    return pickle.dumps(replace(result, iterations=tuple(
+        rec._replace(seconds=0.0) for rec in result.iterations)))
 
 
-class TestCarriedBlankets:
-    """Tables built while the last ones are held regroup only the variables
-    whose Markov blanket changed."""
+class TestStoredBlankets:
+    """A build regroups a variable only when its Markov blanket is not among
+    the last 2 * V blankets used on the dataset."""
 
     @pytest.mark.parametrize("heuristic", ["greedy", "rejection"])
-    def test_only_changed_blankets_are_regrouped(self, rng, builds, groupings, heuristic):
+    def test_only_blankets_not_used_lately_are_regrouped(self, rng, builds, groupings, heuristic):
         ds = random_dataset(rng, 8, 120)
         cfg = PruningConfig(extra_edges=3, exchange_size=2, heuristic=heuristic,
                             max_iter=6, seed=1)
         result = forced_pruning(ds, cfg)
         assert len(builds) == cfg.max_iter
-        regrouped = [sorted(v for b, v in groupings if b == i) for i in range(cfg.max_iter)]
-        assert regrouped[0] == list(range(8))
-        for rec, got in zip(result.iterations, regrouped[1:]):
-            after = rec.active_edges
-            before = sorted(set(after) - set(rec.added) | set(rec.deleted))
-            changed = {v for e in rec.deleted + rec.added for v in e
-                       if _neighbours(before, v) != _neighbours(after, v)}
-            assert got == sorted(changed) and 0 < len(got) < 8
+        first = result.iterations[0]
+        built = [sorted(set(first.active_edges) - set(first.added) | set(first.deleted))]
+        built += [rec.active_edges for rec in result.iterations[:cfg.max_iter - 1]]
+        recent = []  # the blankets used last, least recently first
+        for i, edges in enumerate(built):
+            keys = blanket_keys(8, edges)
+            got = sorted(v for b, v in groupings if b == i)
+            assert got == [v for v, key in enumerate(keys) if key not in recent]
+            recent = ([key for key in recent if key not in keys] + keys)[-2 * 8:]
+
+    @pytest.mark.parametrize("heuristic", ["greedy", "rejection"])
+    def test_a_repeated_run_regroups_and_counts_nothing(self, rng, groupings, heuristic):
+        # a two-iteration run builds two structures, both kept in the store,
+        # so the same run again makes no grouping and no ones rows
+        ds = random_dataset(rng, 12, 200)
+        cfg = PruningConfig(extra_edges=0, exchange_size=3, heuristic=heuristic, max_iter=2, seed=3)
+        first = forced_pruning(ds, cfg)
+        assert len(groupings) > 0
+        store = blanket._store[ds]
+        blocks = {key: (b, b.ones) for key, b in store.items()}
+        groupings.clear()
+        again = forced_pruning(ds, cfg)
+        assert groupings == []
+        assert all(b is blocks[key][0] and b.ones is blocks[key][1] for key, b in store.items())
+        assert list(store) == list(blocks)
+        clone = pickle.loads(pickle.dumps(ds))
+        assert clone not in blanket._store
+        fresh = forced_pruning(clone, cfg)
+        assert _result_bytes(again) == _result_bytes(first) == _result_bytes(fresh)
 
     def test_same_edges_regroup_nothing(self, rng, groupings):
         ds = random_dataset(rng, 7, 90)
@@ -640,7 +665,9 @@ class TestCarriedBlankets:
         held = tables_for(model, ds)
         assert len(groupings) == 7
         assert tables_for(model, ds) is held
-        BlanketTables(ds, model.edges)  # every blanket carries over from the held tables
+        BlanketTables(ds, model.edges)  # every blanket is in the store
+        del held
+        BlanketTables(ds, model.edges)  # held or not
         assert len(groupings) == 7
 
 
